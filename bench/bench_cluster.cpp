@@ -376,10 +376,7 @@ int main(int argc, char** argv) {
       comp.servers = std::move(cs.servers);
       comp.link = cs.link;
       comp.gtm = opt.gtm_or(gtm::to_policy(cs.gtm));
-      const std::size_t slash = cluster_file.find_last_of('/');
-      const std::string base_dir =
-          slash == std::string::npos ? "" : cluster_file.substr(0, slash);
-      comp.arrival = gtm::to_arrival(cs.gtm, base_dir);
+      comp.arrival = gtm::to_arrival(cs.gtm, spec::dir_of(cluster_file));
       // [tier] in the .scnc configures the rack's tier; --tier-spec replaces
       // it and --tier overrides the mode.
       comp.tier = opt.tier_or(tier::to_config(cs.tier));

@@ -541,12 +541,14 @@ struct FastForwardHarness {
     const auto pts = measure::latency_vs_load(params, measure::SweepLink::kPlink,
                                               fabric::Op::kRead, points, /*jobs=*/1, fastforward);
     *secs = seconds_since(t0);
-    sim::Tick acc = 0;
+    // Unsigned, so the digest wraps instead of overflowing a signed tick.
+    std::uint64_t acc = 0;
     for (const auto& p : pts) {
-      acc = acc * 1315423911u + static_cast<sim::Tick>(p.p999_ns * 8.0) +
-            static_cast<sim::Tick>(p.avg_ns);
+      acc = acc * 1315423911u +
+            static_cast<std::uint64_t>(static_cast<sim::Tick>(p.p999_ns * 8.0)) +
+            static_cast<std::uint64_t>(static_cast<sim::Tick>(p.avg_ns));
     }
-    *checksum = acc;
+    *checksum = static_cast<sim::Tick>(acc);
   }
 
   static void run(std::uint64_t /*units*/, double* secs, sim::Tick* checksum) {

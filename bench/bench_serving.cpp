@@ -260,13 +260,12 @@ int main(int argc, char** argv) {
 
   // [gtm]/[arrivals] sections in a --platform spec file configure the sweep;
   // --discipline/--admission/--hedge-pct override the file.
-  const bench::GtmSpec gs = bench::load_gtm_spec(opt.platform_arg());
-  const gtm::TrafficPolicy policy = opt.gtm_or(gtm::to_policy(gs.params));
-  const serve::ArrivalConfig arrival = gtm::to_arrival(gs.params, gs.base_dir);
+  const cluster::PlatformFile file = opt.platform_file();
+  const gtm::TrafficPolicy policy = opt.gtm_or(gtm::to_policy(file.gtm));
+  const serve::ArrivalConfig arrival = gtm::to_arrival(file.gtm, spec::dir_of(opt.platform_arg()));
   // [tier] in the --platform spec file configures the tier; --tier-spec
   // replaces it and --tier overrides the mode.
-  const tier::TierConfig tier_cfg =
-      opt.tier_or(tier::to_config(bench::load_tier_params(opt.platform_arg())));
+  const tier::TierConfig tier_cfg = opt.tier_or(tier::to_config(file.tier));
 
   exec::Stopwatch watch;
   if (tier_cfg.mode != tier::Mode::kOff) {

@@ -7,49 +7,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "exec/sweep.hpp"
-#include "gtm/spec.hpp"
-#include "tier/spec.hpp"
 
 namespace scn::bench {
-
-/// The [gtm]/[arrivals] sections a `--platform`/`--cluster` spec file
-/// carries, plus the directory anchoring relative trace paths. Builtin
-/// platform names are not files, so they yield defaults.
-struct GtmSpec {
-  gtm::GtmParams params;
-  std::string base_dir;
-};
-
-inline GtmSpec load_gtm_spec(const std::string& arg) {
-  GtmSpec out;
-  if (arg.empty()) return out;
-  std::ifstream in(arg);
-  if (!in) return out;  // a builtin name, not a spec file
-  std::ostringstream text;
-  text << in.rdbuf();
-  out.params = gtm::parse_gtm(text.str(), arg);
-  const std::size_t slash = arg.find_last_of('/');
-  out.base_dir = slash == std::string::npos ? "" : arg.substr(0, slash);
-  return out;
-}
-
-/// The [tier] section a `--platform`/`--cluster` spec file carries. Builtin
-/// platform names are not files, so they yield the defaults (mode = off);
-/// the --tier/--tier-spec flags layer on top via Options::tier_or.
-inline tier::TierParams load_tier_params(const std::string& arg) {
-  if (arg.empty()) return {};
-  std::ifstream in(arg);
-  if (!in) return {};  // a builtin name, not a spec file
-  std::ostringstream text;
-  text << in.rdbuf();
-  return tier::parse_tier(text.str(), arg);
-}
 
 // Flag parsing (--jobs/--quick/--platform and per-binary flags) lives in
 // bench/options.hpp (scn::bench::Options); this header keeps only the

@@ -28,18 +28,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cluster/spec.hpp"
 #include "exec/sweep.hpp"
 #include "gtm/policy.hpp"
 #include "serve/placement.hpp"
-#include "spec/spec.hpp"
-#include "tier/spec.hpp"
 #include "topo/params.hpp"
 
 namespace scn::bench {
@@ -141,11 +138,11 @@ class Options {
         continue;
       }
       if (consume_valued(arg, "--hedge-pct", argc, argv, i, [&](const std::string& v) {
-            const double pct = parse_double(v, "--hedge-pct");
-            if (pct < 0.0 || pct >= 100.0) {
+            const auto pct = spec::to_finite(v);
+            if (!pct || *pct < 0.0 || *pct >= 100.0) {
               die(std::string("flag '--hedge-pct': bad value '") + v + "' (want [0, 100))");
             }
-            hedge_pct_ = pct;
+            hedge_pct_ = *pct;
           })) {
         continue;
       }
@@ -160,12 +157,8 @@ class Options {
         continue;
       }
       if (consume_valued(arg, "--tier-spec", argc, argv, i, [&](const std::string& v) {
-            std::ifstream file(v);
-            if (!file) die(std::string("flag '--tier-spec': cannot open '") + v + "'");
-            std::ostringstream text;
-            text << file.rdbuf();
             try {
-              tier_params_ = tier::parse_tier(text.str(), v);
+              tier_params_ = tier::parse_tier(spec::read_file(v), v);
             } catch (const spec::Error& e) {
               die(std::string("--tier-spec: ") + e.what());
             }
@@ -221,7 +214,7 @@ class Options {
     jobs_ = exec::resolve_jobs(requested_jobs);
     if (!platform_arg_.empty()) {
       try {
-        platform_ = spec::resolve(platform_arg_);
+        platform_ = cluster::load_platform_file(platform_arg_);
       } catch (const spec::Error& e) {
         die(std::string("--platform: ") + e.what());
       }
@@ -242,6 +235,11 @@ class Options {
   [[nodiscard]] bool fastforward() const { return fastforward_; }
   [[nodiscard]] bool has_platform() const { return platform_.has_value(); }
   [[nodiscard]] const std::string& platform_arg() const { return platform_arg_; }
+  /// The `--platform` file: hardware plus its [gtm]/[arrivals] and [tier]
+  /// sections, read in one pass (default sections for builtins or no flag).
+  [[nodiscard]] cluster::PlatformFile platform_file() const {
+    return platform_.value_or(cluster::PlatformFile{});
+  }
 
   // ---- GTM / placement flags ----------------------------------------------
   [[nodiscard]] bool has_placement() const { return placement_.has_value(); }
@@ -280,13 +278,13 @@ class Options {
 
   /// The `--platform` parameters; `default_name` (a builtin) when absent.
   [[nodiscard]] topo::PlatformParams platform_or(const char* default_name) const {
-    return platform_ ? *platform_ : spec::lookup(default_name);
+    return platform_ ? platform_->platform : spec::lookup(default_name);
   }
 
   /// The platform set a comparison binary should run: the `--platform`
   /// override alone, or both characterized builtins.
   [[nodiscard]] std::vector<topo::PlatformParams> platforms() const {
-    if (platform_) return {*platform_};
+    if (platform_) return {platform_->platform};
     return {spec::lookup("epyc7302"), spec::lookup("epyc9634")};
   }
 
@@ -337,17 +335,6 @@ class Options {
       die(std::string("flag '") + name + "': bad value '" + v + "'");
     }
     return static_cast<int>(parsed);
-  }
-
-  /// strtod with the same rigor: full consumption, no overflow, no NaN text.
-  [[nodiscard]] double parse_double(const std::string& v, const char* name) const {
-    errno = 0;
-    char* end = nullptr;
-    const double parsed = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
-      die(std::string("flag '") + name + "': bad value '" + v + "'");
-    }
-    return parsed;
   }
 
   /// strtoull with the same rigor: full consumption, no sign (strtoull would
@@ -419,7 +406,7 @@ class Options {
   std::optional<tier::Mode> tier_mode_;
   std::optional<tier::TierParams> tier_params_;
   std::string platform_arg_;
-  std::optional<topo::PlatformParams> platform_;
+  std::optional<cluster::PlatformFile> platform_;
   std::vector<char*> passthrough_;
 };
 

@@ -21,6 +21,7 @@
 #include "cnet/profiler.hpp"
 #include "cnet/telemetry.hpp"
 #include "measure/experiment.hpp"
+#include "spec/schema.hpp"
 #include "topo/params.hpp"
 #include "traffic/stream_flow.hpp"
 
@@ -51,10 +52,10 @@ int main(int argc, char** argv) {
               opt.name = arg;
               return true;
             }
-            char* end = nullptr;
-            const double d = std::strtod(arg.c_str(), &end);
-            if (end != arg.c_str() && *end == '\0' && d > 0.0) {
-              opt.duration_us = d;
+            // A finite duration whose tick count fits in a sim::Tick.
+            const auto d = spec::to_finite(arg);
+            if (d && *d > 0.0 && *d < spec::kMaxTickNs / 1000.0) {
+              opt.duration_us = *d;
               return true;
             }
             return false;

@@ -158,12 +158,15 @@ ClusterSim::ClusterSim(ClusterConfig config) : cfg_(std::move(config)), class_rn
 
 ClusterSim::~ClusterSim() {
   // Teardown must also happen on each instance's shard: in-flight fabric
-  // walks drain back into the thread-local pool they were carved from.
+  // walks drain back into the thread-local pool they were carved from. That
+  // includes the walks still held by pending events when a drain deadline
+  // cut the run short, so the event queue is emptied there too.
   for (int i = 0; i < static_cast<int>(instances_.size()); ++i) {
     Instance* inst = instances_[static_cast<std::size_t>(i)].get();
     lockstep_->post(i, [inst] {
       inst->server.reset();
       inst->platform.reset();
+      inst->sim.reset();
     });
   }
   lockstep_->drain();

@@ -1,40 +1,27 @@
 #include "cluster/spec.hpp"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-
 #include "serve/placement.hpp"
 
 namespace scn::cluster {
 namespace {
 
-[[nodiscard]] std::string format_double(double v) {
-  char buf[64];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
-
-[[nodiscard]] std::string_view trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) s.remove_prefix(1);
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) s.remove_suffix(1);
-  return s;
-}
-
-[[nodiscard]] double parse_double(std::string_view value, const std::string& where) {
-  const std::string text(value);
-  char* end = nullptr;
-  const double d = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
-    throw spec::Error(where + ": expected a number, got '" + text + "'");
-  }
-  return d;
+const spec::Schema<ClusterSpec>& cluster_schema() {
+  // The link fields live inside the nested LinkConfig, so they bind through
+  // functions rather than member pointers.
+  static const spec::Schema<ClusterSpec> schema({
+      {"cluster", "servers", "builtin platform names or .scn paths, one token per server", true,
+       spec::at<&ClusterSpec::server_tokens>},
+      {"cluster", "link_latency_ns", "inter-server ingress link: one-way propagation delay",
+       false, +[](ClusterSpec& s) -> spec::Slot { return &s.link.latency; }},
+      {"cluster", "link_bytes_per_ns", "NIC serialization bandwidth; <= 0 disables serialization",
+       false, +[](ClusterSpec& s) -> spec::Slot { return &s.link.bytes_per_ns; }},
+      {"cluster", "request_bytes", "on-wire size of one forwarded request", false,
+       +[](ClusterSpec& s) -> spec::Slot { return &s.link.request_bytes; }},
+      {"cluster", "placement",
+       "front-end policy: round-robin | gmi-local | telemetry (CLI --placement overrides)", false,
+       spec::at<&ClusterSpec::placement>},
+  });
+  return schema;
 }
 
 /// A server token is a builtin platform name or a .scn path; relative paths
@@ -42,43 +29,16 @@ namespace {
 /// platform files it composes.
 [[nodiscard]] topo::PlatformParams resolve_server(const std::string& token,
                                                   const std::string& base_dir) {
-  if (spec::is_builtin(token)) return spec::lookup(token);
-  if (!base_dir.empty() && !token.empty() && token.front() != '/') {
-    return spec::load(base_dir + "/" + token);
-  }
-  return spec::resolve(token);
+  const bool relative = !spec::is_builtin(token) && !base_dir.empty() && token.front() != '/';
+  return spec::resolve(relative ? base_dir + "/" + token : token);
 }
 
-/// Canonical text of one registry field. The accessors locate storage and
-/// never mutate, so reading through them from a const spec is sound.
-[[nodiscard]] std::string field_text(const ClusterSpec& spec, const ClusterField& field) {
-  auto& slot = const_cast<ClusterSpec&>(spec);
-  switch (field.kind) {
-    case ClusterFieldKind::kString: return field.s(slot);
-    case ClusterFieldKind::kDouble: return format_double(field.d(slot));
-    case ClusterFieldKind::kTickNs: return format_double(sim::to_ns(field.t(slot)));
-  }
-  return "";
+template <class T>
+void append(std::vector<T>& to, const std::vector<T>& from) {
+  to.insert(to.end(), from.begin(), from.end());
 }
 
 }  // namespace
-
-const std::vector<ClusterField>& cluster_fields() {
-  static const std::vector<ClusterField> fields = {
-      {"link_latency_ns", ClusterFieldKind::kTickNs,
-       "inter-server ingress link: one-way propagation delay", nullptr, nullptr,
-       +[](ClusterSpec& s) -> sim::Tick& { return s.link.latency; }},
-      {"link_bytes_per_ns", ClusterFieldKind::kDouble,
-       "NIC serialization bandwidth; <= 0 disables serialization", nullptr,
-       +[](ClusterSpec& s) -> double& { return s.link.bytes_per_ns; }, nullptr},
-      {"request_bytes", ClusterFieldKind::kDouble, "on-wire size of one forwarded request",
-       nullptr, +[](ClusterSpec& s) -> double& { return s.link.request_bytes; }, nullptr},
-      {"placement", ClusterFieldKind::kString,
-       "front-end policy: round-robin | gmi-local | telemetry (CLI --placement overrides)",
-       +[](ClusterSpec& s) -> std::string& { return s.placement; }, nullptr, nullptr},
-  };
-  return fields;
-}
 
 std::vector<std::string> validate_cluster(const ClusterSpec& spec) {
   std::vector<std::string> out;
@@ -95,160 +55,69 @@ std::vector<std::string> validate_cluster(const ClusterSpec& spec) {
   return out;
 }
 
-void validate_cluster_or_throw(const ClusterSpec& spec, const std::string& context) {
-  const auto errors = validate_cluster(spec);
-  if (errors.empty()) return;
-  std::string msg = context + ": invalid cluster parameters:";
-  for (const auto& e : errors) {
-    msg += "\n  ";
-    msg += e;
-  }
-  throw spec::Error(msg);
-}
-
 ClusterSpec parse_cluster(std::string_view text, const std::string& source,
                           const std::string& base_dir) {
+  const spec::Document doc = spec::tokenize(text, source);
+  doc.check_sections(
+      [](std::string_view s) { return s == "cluster" || spec::is_policy_section(s); });
   ClusterSpec out;
-  bool in_cluster = false;
-  bool in_gtm = false;
-  bool seen_cluster = false;
-  std::vector<bool> seen_field(cluster_fields().size(), false);
-  int lineno = 0;
+  cluster_schema().read(doc, out);
 
-  std::string line;
-  std::istringstream stream{std::string(text)};
-  while (std::getline(stream, line)) {
-    ++lineno;
-    const std::string where = source + ":" + std::to_string(lineno);
-    const std::string_view body = trim(line);
-    if (body.empty() || body.front() == '#') continue;
-
-    if (body.front() == '[') {
-      if (body.back() != ']') throw spec::Error(where + ": unterminated section header");
-      const std::string_view section = trim(body.substr(1, body.size() - 2));
-      in_cluster = section == "cluster";
-      in_gtm = section == "gtm" || section == "arrivals" || section == "tier";
-      if (in_cluster) seen_cluster = true;
-      if (!in_cluster && !in_gtm) {
-        throw spec::Error(where + ": unknown section [" + std::string(section) + "]");
-      }
-      continue;
-    }
-    if (in_gtm) continue;  // validated by gtm::parse_gtm / tier::parse_tier over the same text
-    if (!in_cluster) {
-      throw spec::Error(where + ": key outside the [cluster] section");
-    }
-
-    const std::size_t eq = body.find('=');
-    if (eq == std::string_view::npos) {
-      throw spec::Error(where + ": expected 'key = value'");
-    }
-    const std::string key(trim(body.substr(0, eq)));
-    const std::string_view value = trim(body.substr(eq + 1));
-    if (value.empty()) throw spec::Error(where + ": empty value for '" + key + "'");
-
-    if (key == "servers") {
-      std::istringstream tokens{std::string(value)};
-      std::string token;
-      while (tokens >> token) {
-        try {
-          out.servers.push_back(resolve_server(token, base_dir));
-        } catch (const spec::Error& e) {
-          throw spec::Error(where + ": server '" + token + "': " + e.what());
-        }
-        out.server_tokens.push_back(token);
-      }
-    } else {
-      const auto& fields = cluster_fields();
-      std::size_t idx = fields.size();
-      for (std::size_t f = 0; f < fields.size(); ++f) {
-        if (key == fields[f].key) {
-          idx = f;
-          break;
-        }
-      }
-      if (idx == fields.size()) throw spec::Error(where + ": unknown key '" + key + "'");
-      if (seen_field[idx]) throw spec::Error(where + ": duplicate key '" + key + "'");
-      seen_field[idx] = true;
-      const ClusterField& field = fields[idx];
-      switch (field.kind) {
-        case ClusterFieldKind::kString:
-          field.s(out) = std::string(value);
-          break;
-        case ClusterFieldKind::kDouble:
-          field.d(out) = parse_double(value, where);
-          break;
-        case ClusterFieldKind::kTickNs:
-          field.t(out) = sim::from_ns(parse_double(value, where));
-          break;
-      }
+  // read() succeeded, so [cluster] and its required `servers` key exist.
+  int line = 0;
+  for (const spec::Entry& e : doc.find("cluster")->entries) {
+    if (e.key == "servers") line = e.line;
+  }
+  if (out.server_tokens.empty()) doc.fail(line, "no servers listed");
+  for (const auto& token : out.server_tokens) {
+    try {
+      out.servers.push_back(resolve_server(token, base_dir));
+    } catch (const spec::Error& e) {
+      doc.fail(line, "server '" + token + "': " + e.what());
     }
   }
-
-  if (!seen_cluster) throw spec::Error(source + ": missing [cluster] section");
-  if (out.servers.empty()) throw spec::Error(source + ": no servers listed");
-  out.gtm = gtm::parse_gtm(text, source);
-  out.tier = tier::parse_tier(text, source);
-  validate_cluster_or_throw(out, source);
+  out.gtm = gtm::parse_gtm(doc);
+  out.tier = tier::parse_tier(doc);
+  spec::throw_if_invalid(validate_cluster(out), source, "cluster");
   return out;
 }
 
 ClusterSpec load_cluster(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw spec::Error(path + ": cannot open cluster spec");
-  std::ostringstream text;
-  text << file.rdbuf();
-  const std::size_t slash = path.find_last_of('/');
-  const std::string base_dir = slash == std::string::npos ? "" : path.substr(0, slash);
-  return parse_cluster(text.str(), path, base_dir);
+  return parse_cluster(spec::read_file(path), path, spec::dir_of(path));
 }
 
 std::string dump_cluster(const ClusterSpec& spec) {
-  std::string out = "[cluster]\n";
-  out += "# builtin platform names or .scn paths, one token per server\n";
-  out += "servers =";
-  for (const auto& token : spec.server_tokens) {
-    out += " ";
-    out += token;
-  }
-  out += "\n";
-  for (const auto& field : cluster_fields()) {
-    out += std::string("# ") + field.doc + "\n";
-    out += std::string(field.key) + " = " + field_text(spec, field) + "\n";
-  }
-  out += "\n";
-  out += gtm::dump_gtm(spec.gtm);
-  out += "\n";
-  out += tier::dump_tier(spec.tier);
-  return out;
+  return cluster_schema().dump(spec) + "\n" + gtm::dump_gtm(spec.gtm) + "\n" +
+         tier::dump_tier(spec.tier);
 }
 
 std::vector<std::string> diff_cluster(const ClusterSpec& a, const ClusterSpec& b) {
-  std::vector<std::string> out;
-  if (a.server_tokens != b.server_tokens) {
-    auto join = [](const std::vector<std::string>& v) {
-      std::string s;
-      for (const auto& t : v) {
-        if (!s.empty()) s += " ";
-        s += t;
-      }
-      return s;
-    };
-    out.push_back("[cluster] servers: " + join(a.server_tokens) + " != " +
-                  join(b.server_tokens));
-  }
-  for (const auto& field : cluster_fields()) {
-    // format_double is shortest-reparse, so text equality is value equality.
-    const std::string av = field_text(a, field);
-    const std::string bv = field_text(b, field);
-    if (av != bv) {
-      out.push_back(std::string("[cluster] ") + field.key + ": " + av + " != " + bv);
-    }
-  }
-  const auto gtm_diffs = gtm::diff_gtm(a.gtm, b.gtm);
-  out.insert(out.end(), gtm_diffs.begin(), gtm_diffs.end());
-  const auto tier_diffs = tier::diff_tier(a.tier, b.tier);
-  out.insert(out.end(), tier_diffs.begin(), tier_diffs.end());
+  auto out = cluster_schema().diff(a, b);
+  append(out, gtm::diff_gtm(a.gtm, b.gtm));
+  append(out, tier::diff_tier(a.tier, b.tier));
+  return out;
+}
+
+PlatformFile parse_platform_file(std::string_view text, const std::string& source) {
+  const spec::Document doc = spec::tokenize(text, source);
+  return {spec::parse(doc), gtm::parse_gtm(doc), tier::parse_tier(doc)};
+}
+
+PlatformFile load_platform_file(const std::string& name_or_path) {
+  return parse_platform_file(spec::resolve_text(name_or_path), name_or_path);
+}
+
+std::string dump_platform_file(const PlatformFile& file) {
+  std::string out = spec::dump(file.platform);
+  if (file.gtm != gtm::GtmParams{}) out += "\n" + gtm::dump_gtm(file.gtm);
+  if (file.tier != tier::TierParams{}) out += "\n" + tier::dump_tier(file.tier);
+  return out;
+}
+
+std::vector<std::string> diff_platform_file(const PlatformFile& a, const PlatformFile& b) {
+  auto out = spec::diff(a.platform, b.platform);
+  append(out, gtm::diff_gtm(a.gtm, b.gtm));
+  append(out, tier::diff_tier(a.tier, b.tier));
   return out;
 }
 

@@ -1,9 +1,10 @@
-// Declarative cluster specs: racks as data, the same way .scn files make
-// platforms data.
+// Spec files as data: the two file kinds and the sections each may carry.
 //
-// A `.scnc` file names the member servers (builtin platform names or paths
-// to .scn files, resolved relative to the spec's directory) and the
-// inter-server ingress link:
+// A `.scn` platform file carries the hardware sections of the platform
+// schema (spec/spec.hpp) plus, optionally, [gtm], [arrivals] and [tier].
+// A `.scnc` cluster file names the member servers (builtin platform names or
+// paths to .scn files, resolved relative to the spec's directory) and the
+// inter-server ingress link, and may carry the same optional sections:
 //
 //   # comment (full line only)
 //   [cluster]
@@ -13,19 +14,17 @@
 //   request_bytes = 512
 //   placement = gmi-local
 //
-// A cluster spec may also carry the Global Traffic Manager sections ([gtm]
-// and [arrivals], same grammar as in platform .scn files); they configure
-// the queue discipline, admission control, hedging, and the front-end
-// arrival schedule for every server in the rack. A [tier] section (same
-// grammar as in platform .scn files) configures the tiered-memory subsystem
-// on every CXL-equipped member.
-//
-// Tick-valued keys are nanoseconds and bandwidths bytes/ns (GB/s), matching
-// the platform spec conventions. Malformed input throws spec::Error with
-// file:line context, like the platform parser.
+// In a cluster file, [gtm]/[arrivals] configure the queue discipline,
+// admission control, hedging and front-end arrival schedule for every server
+// in the rack, and [tier] configures the tiered-memory subsystem on every
+// CXL-equipped member. Each file is tokenized once (spec::tokenize) and every
+// section goes to the schema that owns it; all four schemas (platform, GTM,
+// tier, cluster) are tables of the one spec::Schema engine, which backs
+// parse, dump and diff. Tick-valued keys are nanoseconds and bandwidths
+// bytes/ns (GB/s). Malformed input throws spec::Error with file:line
+// context.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,30 +54,9 @@ struct ClusterSpec {
   tier::TierParams tier;
 };
 
-enum class ClusterFieldKind : std::uint8_t { kString, kDouble, kTickNs };
-
-/// One schema entry binding a scalar [cluster] key to its ClusterSpec
-/// storage — the same registry idea as gtm::gtm_fields(), except the
-/// accessors are function pointers rather than member pointers because the
-/// link fields live inside the nested LinkConfig. (The list-valued `servers`
-/// key stays outside the registry; it needs token resolution, not a scalar
-/// slot.) Exactly one accessor is non-null, selected by `kind`.
-struct ClusterField {
-  const char* key;
-  ClusterFieldKind kind;
-  const char* doc;
-  std::string& (*s)(ClusterSpec&) = nullptr;
-  double& (*d)(ClusterSpec&) = nullptr;
-  sim::Tick& (*t)(ClusterSpec&) = nullptr;
-};
-
-/// The full scalar-key registry, in canonical (dump) order.
-[[nodiscard]] const std::vector<ClusterField>& cluster_fields();
-
 /// Semantic checks (vocabulary and ranges); empty means valid. parse_cluster
 /// runs this on every result, so a loadable spec is always a valid one.
 [[nodiscard]] std::vector<std::string> validate_cluster(const ClusterSpec& spec);
-void validate_cluster_or_throw(const ClusterSpec& spec, const std::string& context);
 
 /// Parse cluster spec text. `source` names the origin for diagnostics;
 /// `base_dir` anchors relative server spec paths (empty = cwd).
@@ -88,12 +66,36 @@ void validate_cluster_or_throw(const ClusterSpec& spec, const std::string& conte
 /// Read and parse a `.scnc` file; server paths resolve relative to it.
 [[nodiscard]] ClusterSpec load_cluster(const std::string& path);
 
-/// Canonical text form: [cluster] followed by the GTM sections. Parsing the
-/// dump yields an equal spec (assuming the server tokens still resolve).
+/// Canonical text form: [cluster] followed by the GTM and tier sections.
+/// Parsing the dump yields an equal spec (assuming the server tokens still
+/// resolve).
 [[nodiscard]] std::string dump_cluster(const ClusterSpec& spec);
 
 /// Human-readable field-by-field differences ("[section] key: a != b"),
 /// empty when the specs match.
 [[nodiscard]] std::vector<std::string> diff_cluster(const ClusterSpec& a, const ClusterSpec& b);
+
+/// A `.scn` platform file read once: its hardware and the policy and
+/// tiering sections it may carry. A builtin platform carries the defaults.
+struct PlatformFile {
+  topo::PlatformParams platform;
+  gtm::GtmParams gtm;
+  tier::TierParams tier;
+};
+
+/// Parse platform file text; each section goes to the schema that owns it.
+[[nodiscard]] PlatformFile parse_platform_file(std::string_view text, const std::string& source);
+
+/// A builtin platform name or a `.scn` path (spec::resolve rules).
+[[nodiscard]] PlatformFile load_platform_file(const std::string& name_or_path);
+
+/// Canonical text: the platform dump, then the [gtm]/[arrivals] and [tier]
+/// sections when they differ from the defaults (a default section changes
+/// nothing, so leaving it out keeps builtin dumps unchanged).
+[[nodiscard]] std::string dump_platform_file(const PlatformFile& file);
+
+/// Field-by-field differences across all three param sets.
+[[nodiscard]] std::vector<std::string> diff_platform_file(const PlatformFile& a,
+                                                          const PlatformFile& b);
 
 }  // namespace scn::cluster

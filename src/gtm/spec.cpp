@@ -1,233 +1,69 @@
 #include "gtm/spec.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <set>
-#include <sstream>
+#include <optional>
 
 namespace scn::gtm {
 namespace {
 
-GtmField gs(const char* sec, const char* key, std::string GtmParams::* m, const char* doc) {
-  GtmField f{sec, key, GtmFieldKind::kString, doc};
-  f.s = m;
-  return f;
-}
-GtmField gi(const char* sec, const char* key, int GtmParams::* m, const char* doc) {
-  GtmField f{sec, key, GtmFieldKind::kInt, doc};
-  f.i = m;
-  return f;
-}
-GtmField gd(const char* sec, const char* key, double GtmParams::* m, const char* doc) {
-  GtmField f{sec, key, GtmFieldKind::kDouble, doc};
-  f.d = m;
-  return f;
-}
-GtmField gt(const char* sec, const char* key, sim::Tick GtmParams::* m, const char* doc) {
-  GtmField f{sec, key, GtmFieldKind::kTickNs, doc};
-  f.t = m;
-  return f;
-}
-
-std::vector<GtmField> make_registry() {
+const spec::Schema<GtmParams>& gtm_schema() {
   using G = GtmParams;
-  std::vector<GtmField> r;
-  r.push_back(gs("gtm", "discipline", &G::discipline,
-                 "worker queue order: fifo | priority | edf"));
-  r.push_back(gs("gtm", "admission", &G::admission, "none | token-bucket"));
-  r.push_back(gd("gtm", "admission_rate_per_us", &G::admission_rate_per_us,
-                 "total admitted load, split across classes by weight"));
-  r.push_back(gd("gtm", "admission_burst", &G::admission_burst,
-                 "token bucket depth in requests"));
-  r.push_back(gi("gtm", "admission_max_queue", &G::admission_max_queue,
-                 "reject above this many outstanding requests (0 = off)"));
-  r.push_back(gd("gtm", "hedge_pct", &G::hedge_pct,
-                 "duplicate to another CCD past this completion percentile (0 = off)"));
-  r.push_back(gi("gtm", "hedge_min_samples", &G::hedge_min_samples,
-                 "hedge at the class SLO until this many completions observed"));
-  r.push_back(gs("arrivals", "kind", &G::arrival_kind,
-                 "poisson | deterministic | mmpp | diurnal | trace"));
-  r.push_back(gd("arrivals", "rate_per_us", &G::rate_per_us,
-                 "mean offered load (sweeps override per grid point)"));
-  r.push_back(gd("arrivals", "burst_factor", &G::burst_factor, "MMPP burst-phase rate factor"));
-  r.push_back(gd("arrivals", "calm_factor", &G::calm_factor, "MMPP calm-phase rate factor"));
-  r.push_back(gt("arrivals", "mean_sojourn_ns", &G::mean_sojourn, "MMPP mean phase dwell"));
-  r.push_back(gd("arrivals", "diurnal_period_us", &G::diurnal_period_us,
-                 "one full day/night rate cycle"));
-  r.push_back(gd("arrivals", "diurnal_amplitude", &G::diurnal_amplitude,
-                 "peak rate swing, fraction of mean (in [0, 1))"));
-  r.push_back(gi("arrivals", "diurnal_phases", &G::diurnal_phases,
-                 "piecewise-constant segments per cycle"));
-  r.push_back(gs("arrivals", "trace_file", &G::trace_file,
-                 "kind = trace: arrival timestamps (ns), one per line"));
-  return r;
+  using spec::at;
+  static const spec::Schema<G> schema({
+      {"gtm", "discipline", "worker queue order: fifo | priority | edf", false,
+       at<&G::discipline>},
+      {"gtm", "admission", "none | token-bucket", false, at<&G::admission>},
+      {"gtm", "admission_rate_per_us", "total admitted load, split across classes by weight",
+       false, at<&G::admission_rate_per_us>},
+      {"gtm", "admission_burst", "token bucket depth in requests", false,
+       at<&G::admission_burst>},
+      {"gtm", "admission_max_queue", "reject above this many outstanding requests (0 = off)",
+       false, at<&G::admission_max_queue>},
+      {"gtm", "hedge_pct", "duplicate to another CCD past this completion percentile (0 = off)",
+       false, at<&G::hedge_pct>},
+      {"gtm", "hedge_min_samples", "hedge at the class SLO until this many completions observed",
+       false, at<&G::hedge_min_samples>},
+      {"arrivals", "kind", "poisson | deterministic | mmpp | diurnal | trace", false,
+       at<&G::arrival_kind>},
+      {"arrivals", "rate_per_us", "mean offered load (sweeps override per grid point)", false,
+       at<&G::rate_per_us>},
+      {"arrivals", "burst_factor", "MMPP burst-phase rate factor", false, at<&G::burst_factor>},
+      {"arrivals", "calm_factor", "MMPP calm-phase rate factor", false, at<&G::calm_factor>},
+      {"arrivals", "mean_sojourn_ns", "MMPP mean phase dwell", false, at<&G::mean_sojourn>},
+      {"arrivals", "diurnal_period_us", "one full day/night rate cycle", false,
+       at<&G::diurnal_period_us>},
+      {"arrivals", "diurnal_amplitude", "peak rate swing, fraction of mean (in [0, 1))", false,
+       at<&G::diurnal_amplitude>},
+      {"arrivals", "diurnal_phases", "piecewise-constant segments per cycle", false,
+       at<&G::diurnal_phases>},
+      {"arrivals", "trace_file", "kind = trace: arrival timestamps (ns), one per line", false,
+       at<&G::trace_file>},
+  });
+  return schema;
 }
 
-std::string format_double(double v) {
-  char buf[64];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
+std::optional<ArrivalKind> parse_arrival_kind(const std::string& word) {
+  for (const ArrivalKind k : {ArrivalKind::kPoisson, ArrivalKind::kDeterministic,
+                              ArrivalKind::kMmpp, ArrivalKind::kDiurnal, ArrivalKind::kTrace}) {
+    if (word == to_string(k)) return k;
   }
-  return buf;
-}
-
-std::string format_value(const GtmField& f, const GtmParams& p) {
-  switch (f.kind) {
-    case GtmFieldKind::kString: return p.*(f.s);
-    case GtmFieldKind::kInt: return std::to_string(p.*(f.i));
-    case GtmFieldKind::kDouble: return format_double(p.*(f.d));
-    case GtmFieldKind::kTickNs: return format_double(sim::to_ns(p.*(f.t)));
-  }
-  return {};
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) s.remove_prefix(1);
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) s.remove_suffix(1);
-  return s;
-}
-
-[[noreturn]] void fail(const std::string& source, int line, const std::string& msg) {
-  throw spec::Error(source + ":" + std::to_string(line) + ": " + msg);
-}
-
-double parse_double_or_fail(std::string_view v, const std::string& source, int line,
-                            const char* key) {
-  const std::string str(v);
-  errno = 0;
-  char* end = nullptr;
-  const double d = std::strtod(str.c_str(), &end);
-  if (end == str.c_str() || *end != '\0' || errno == ERANGE) {
-    fail(source, line, std::string("bad number '") + str + "' for key '" + key + "'");
-  }
-  return d;
-}
-
-long long parse_integer_or_fail(std::string_view v, const std::string& source, int line,
-                                const char* key) {
-  const std::string str(v);
-  errno = 0;
-  char* end = nullptr;
-  const long long i = std::strtoll(str.c_str(), &end, 10);
-  if (end == str.c_str() || *end != '\0' || errno == ERANGE) {
-    fail(source, line, std::string("bad integer '") + str + "' for key '" + key + "'");
-  }
-  return i;
-}
-
-void assign(const GtmField& f, GtmParams& p, std::string_view value, const std::string& source,
-            int line) {
-  switch (f.kind) {
-    case GtmFieldKind::kString: p.*(f.s) = std::string(value); break;
-    case GtmFieldKind::kInt:
-      p.*(f.i) = static_cast<int>(parse_integer_or_fail(value, source, line, f.key));
-      break;
-    case GtmFieldKind::kDouble:
-      p.*(f.d) = parse_double_or_fail(value, source, line, f.key);
-      break;
-    case GtmFieldKind::kTickNs:
-      p.*(f.t) = sim::from_ns(parse_double_or_fail(value, source, line, f.key));
-      break;
-  }
-}
-
-const GtmField* find_field(const std::string& section, std::string_view key) {
-  for (const auto& f : gtm_fields()) {
-    if (section == f.section && key == f.key) return &f;
-  }
-  return nullptr;
-}
-
-bool gtm_section(std::string_view section) {
-  return section == "gtm" || section == "arrivals";
+  return std::nullopt;
 }
 
 }  // namespace
 
-const std::vector<GtmField>& gtm_fields() {
-  static const std::vector<GtmField> registry = make_registry();
-  return registry;
-}
-
-GtmParams parse_gtm(std::string_view text, const std::string& source) {
+GtmParams parse_gtm(const spec::Document& doc) {
   GtmParams p;
-  std::string section;
-  std::set<std::string> seen_sections;
-  std::set<const GtmField*> seen_keys;
-
-  int line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    std::string_view raw = text.substr(pos, eol == std::string_view::npos ? eol : eol - pos);
-    pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-    ++line_no;
-
-    const std::string_view line = trim(raw);
-    if (line.empty() || line.front() == '#') continue;
-
-    if (line.front() == '[') {
-      if (line.back() != ']') fail(source, line_no, "unterminated section header");
-      section = std::string(trim(line.substr(1, line.size() - 2)));
-      if (gtm_section(section) && !seen_sections.insert(section).second) {
-        fail(source, line_no, "duplicate section [" + section + "]");
-      }
-      continue;
-    }
-
-    // Keys in non-GTM sections belong to the platform or cluster schema;
-    // their parsers validate them. This scanner only owns [gtm]/[arrivals].
-    if (!gtm_section(section)) continue;
-
-    const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos) {
-      fail(source, line_no,
-           "expected 'key = value' or '[section]', got '" + std::string(line) + "'");
-    }
-    const std::string key{trim(line.substr(0, eq))};
-    const std::string_view value = trim(line.substr(eq + 1));
-    const GtmField* f = find_field(section, key);
-    if (f == nullptr) {
-      fail(source, line_no, "unknown key '" + key + "' in section [" + section + "]");
-    }
-    if (!seen_keys.insert(f).second) {
-      fail(source, line_no, "duplicate key '" + key + "' in section [" + section + "]");
-    }
-    assign(*f, p, value, source, line_no);
-  }
-
-  validate_gtm_or_throw(p, source);
+  gtm_schema().read(doc, p);
+  spec::throw_if_invalid(validate_gtm(p), doc.source, "GTM");
   return p;
 }
 
-std::string dump_gtm(const GtmParams& params) {
-  std::string out;
-  const char* section = "";
-  for (const auto& f : gtm_fields()) {
-    if (std::strcmp(section, f.section) != 0) {
-      if (section[0] != '\0') out += "\n";
-      section = f.section;
-      out += "[";
-      out += section;
-      out += "]\n";
-    }
-    if (f.doc != nullptr && f.doc[0] != '\0') {
-      out += "# ";
-      out += f.doc;
-      out += "\n";
-    }
-    out += f.key;
-    out += " = ";
-    out += format_value(f, params);
-    out += "\n";
-  }
-  return out;
+GtmParams parse_gtm(std::string_view text, const std::string& source) {
+  return parse_gtm(spec::tokenize(text, source));
 }
+
+std::string dump_gtm(const GtmParams& params) { return gtm_schema().dump(params); }
 
 std::vector<std::string> validate_gtm(const GtmParams& p) {
   std::vector<std::string> errors;
@@ -245,14 +81,7 @@ std::vector<std::string> validate_gtm(const GtmParams& p) {
   check(p.hedge_pct >= 0.0 && p.hedge_pct < 100.0, "[gtm] hedge_pct: must be in [0, 100)");
   check(p.hedge_min_samples >= 1, "[gtm] hedge_min_samples: must be >= 1");
 
-  const auto kind = [&]() -> std::optional<ArrivalKind> {
-    if (p.arrival_kind == "poisson") return ArrivalKind::kPoisson;
-    if (p.arrival_kind == "deterministic") return ArrivalKind::kDeterministic;
-    if (p.arrival_kind == "mmpp") return ArrivalKind::kMmpp;
-    if (p.arrival_kind == "diurnal") return ArrivalKind::kDiurnal;
-    if (p.arrival_kind == "trace") return ArrivalKind::kTrace;
-    return std::nullopt;
-  }();
+  const auto kind = parse_arrival_kind(p.arrival_kind);
   check(kind.has_value(), "[arrivals] kind: unknown value '" + p.arrival_kind +
                               "' (poisson | deterministic | mmpp | diurnal | trace)");
   check(p.rate_per_us > 0.0, "[arrivals] rate_per_us: must be > 0");
@@ -269,33 +98,8 @@ std::vector<std::string> validate_gtm(const GtmParams& p) {
   return errors;
 }
 
-void validate_gtm_or_throw(const GtmParams& params, const std::string& context) {
-  const auto errors = validate_gtm(params);
-  if (errors.empty()) return;
-  std::string msg = context + ": invalid GTM parameters:";
-  for (const auto& e : errors) {
-    msg += "\n  ";
-    msg += e;
-  }
-  throw spec::Error(msg);
-}
-
 std::vector<std::string> diff_gtm(const GtmParams& a, const GtmParams& b) {
-  std::vector<std::string> out;
-  for (const auto& f : gtm_fields()) {
-    bool equal = false;
-    switch (f.kind) {
-      case GtmFieldKind::kString: equal = a.*(f.s) == b.*(f.s); break;
-      case GtmFieldKind::kInt: equal = a.*(f.i) == b.*(f.i); break;
-      case GtmFieldKind::kDouble: equal = a.*(f.d) == b.*(f.d); break;
-      case GtmFieldKind::kTickNs: equal = a.*(f.t) == b.*(f.t); break;
-    }
-    if (!equal) {
-      out.push_back(std::string("[") + f.section + "] " + f.key + ": " + format_value(f, a) +
-                    " != " + format_value(f, b));
-    }
-  }
-  return out;
+  return gtm_schema().diff(a, b);
 }
 
 TrafficPolicy to_policy(const GtmParams& p) {
@@ -316,19 +120,9 @@ TrafficPolicy to_policy(const GtmParams& p) {
 
 ArrivalConfig to_arrival(const GtmParams& p, const std::string& base_dir) {
   ArrivalConfig a;
-  if (p.arrival_kind == "poisson") {
-    a.kind = ArrivalKind::kPoisson;
-  } else if (p.arrival_kind == "deterministic") {
-    a.kind = ArrivalKind::kDeterministic;
-  } else if (p.arrival_kind == "mmpp") {
-    a.kind = ArrivalKind::kMmpp;
-  } else if (p.arrival_kind == "diurnal") {
-    a.kind = ArrivalKind::kDiurnal;
-  } else if (p.arrival_kind == "trace") {
-    a.kind = ArrivalKind::kTrace;
-  } else {
-    throw spec::Error("[arrivals] kind: unknown value '" + p.arrival_kind + "'");
-  }
+  const auto kind = parse_arrival_kind(p.arrival_kind);
+  if (!kind) throw spec::Error("[arrivals] kind: unknown value '" + p.arrival_kind + "'");
+  a.kind = *kind;
   a.rate_per_us = p.rate_per_us;
   a.burst_factor = p.burst_factor;
   a.calm_factor = p.calm_factor;
@@ -354,20 +148,18 @@ std::vector<double> load_trace(const std::string& path) {
   double prev = 0.0;
   while (std::getline(in, line)) {
     ++line_no;
-    const std::string_view sv = trim(line);
+    const std::string_view sv = spec::trim(line);
     if (sv.empty() || sv.front() == '#') continue;
-    const std::string str(sv);
-    errno = 0;
-    char* end = nullptr;
-    const double t = std::strtod(str.c_str(), &end);
-    if (end == str.c_str() || *end != '\0' || errno == ERANGE) {
-      fail(path, line_no, "bad trace timestamp '" + str + "'");
+    const auto t = spec::to_finite(sv);
+    const std::string where = path + ":" + std::to_string(line_no) + ": ";
+    if (!t || *t >= spec::kMaxTickNs) {
+      throw spec::Error(where + "bad trace timestamp '" + std::string(sv) + "'");
     }
-    if (t < 0.0 || t < prev) {
-      fail(path, line_no, "trace timestamps must be non-negative and non-decreasing");
+    if (*t < 0.0 || *t < prev) {
+      throw spec::Error(where + "trace timestamps must be non-negative and non-decreasing");
     }
-    prev = t;
-    out.push_back(t);
+    prev = *t;
+    out.push_back(*t);
   }
   return out;
 }

@@ -1,8 +1,6 @@
-// Declarative GTM policy: traffic policy as data, not code.
-//
-// PR 3 made platforms data (`[platform]`/`[latency]`/... sections in `.scn`
-// files); this does the same for the Global Traffic Manager's knobs. Two new
-// sections may appear in any `.scn` or `.scnc` spec:
+// Declarative GTM policy: traffic policy as data, not code, the same way
+// `.scn` files make platforms data. Two sections hold the Global Traffic
+// Manager's knobs:
 //
 //   [gtm]
 //   discipline = fifo | priority | edf
@@ -24,13 +22,14 @@
 //   diurnal_phases = 8
 //   trace_file =             # kind = trace: one arrival timestamp (ns) per line
 //
-// The same field-registry machinery as the platform schema backs parse,
-// dump, validate and diff, so `platform_spec` treats policy exactly like
-// hardware. parse_gtm() scans any spec text and consumes *only* these two
-// sections — platform/cluster sections belong to their own parsers — which
-// is what lets one file carry hardware and policy side by side. Every
-// default reproduces the pre-GTM behavior, so a spec without these sections
-// changes nothing.
+// Both sections may appear in a `.scn` platform file or a `.scnc` cluster
+// file. They are one table of the shared spec::Schema engine
+// (spec/schema.hpp), which backs parse, dump and diff, so `platform_spec`
+// treats policy exactly like hardware. parse_gtm() reads *only* these two
+// sections of a text — platform, cluster and tier sections belong to their
+// own schemas — which is what lets one file carry hardware and policy side
+// by side. Every default reproduces the pre-GTM behavior, so a spec without
+// these sections changes nothing.
 #pragma once
 
 #include <string>
@@ -43,8 +42,8 @@
 
 namespace scn::gtm {
 
-/// Flat, string-typed mirror of (TrafficPolicy, ArrivalConfig): the schema
-/// the registry binds to. Enum-valued knobs stay strings here so dump/diff
+/// Flat, string-typed mirror of (TrafficPolicy, ArrivalConfig): the struct
+/// the schema binds to. Enum-valued knobs stay strings here so dump/diff
 /// print the spec vocabulary; to_policy()/to_arrival() convert and reject
 /// unknown words.
 struct GtmParams {
@@ -70,29 +69,13 @@ struct GtmParams {
   [[nodiscard]] bool operator==(const GtmParams&) const = default;
 };
 
-enum class GtmFieldKind { kString, kInt, kDouble, kTickNs };
-
-/// One schema entry binding a [section] key to a GtmParams member.
-struct GtmField {
-  const char* section;
-  const char* key;
-  GtmFieldKind kind;
-  const char* doc;
-  std::string GtmParams::* s = nullptr;
-  int GtmParams::* i = nullptr;
-  double GtmParams::* d = nullptr;
-  sim::Tick GtmParams::* t = nullptr;
-};
-
-/// The full registry, in canonical (dump) order.
-[[nodiscard]] const std::vector<GtmField>& gtm_fields();
-
 /// Extract [gtm]/[arrivals] settings from spec text. Other sections are
-/// skipped untouched (they belong to the platform or cluster parser), so
-/// this can run over a full `.scn`/`.scnc` file. Unknown or duplicate keys
-/// inside the two GTM sections throw spec::Error; a text without them
-/// returns all defaults. Runs validate_gtm_or_throw on the result.
+/// skipped untouched (they belong to the platform, cluster or tier schema),
+/// so this can run over a full `.scn`/`.scnc` file. Unknown or duplicate
+/// keys inside the two GTM sections throw spec::Error; a text without them
+/// returns all defaults. Throws unless validate_gtm passes.
 [[nodiscard]] GtmParams parse_gtm(std::string_view text, const std::string& source = "<spec>");
+[[nodiscard]] GtmParams parse_gtm(const spec::Document& doc);
 
 /// Canonical [gtm] + [arrivals] section text (no file header); dump ->
 /// parse_gtm round-trips bit-identically.
@@ -100,7 +83,6 @@ struct GtmField {
 
 /// Semantic checks (vocabulary and ranges); empty means valid.
 [[nodiscard]] std::vector<std::string> validate_gtm(const GtmParams& params);
-void validate_gtm_or_throw(const GtmParams& params, const std::string& context);
 
 /// One line per differing field, "[section] key: a != b" (same convention as
 /// spec::diff).

@@ -255,19 +255,15 @@ bool is_builtin(const std::string& name) { return find_builtin(name) != nullptr;
 
 const std::string& builtin_text(const std::string& name) {
   const Builtin* b = find_builtin(name);
-  if (b == nullptr) throw Error("unknown builtin platform '" + name + "'");
-  return *b->text;
-}
-
-topo::PlatformParams lookup(const std::string& name) {
-  const Builtin* b = find_builtin(name);
   if (b == nullptr) {
     std::string msg = "unknown builtin platform '" + name + "' (have:";
     for (const auto& known : kBuiltins) msg += std::string(" ") + known.name;
     msg += ")";
     throw Error(msg);
   }
-  return parse(*b->text, b->name);
+  return *b->text;
 }
+
+topo::PlatformParams lookup(const std::string& name) { return parse(builtin_text(name), name); }
 
 }  // namespace scn::spec

@@ -1,395 +1,132 @@
 #include "spec/spec.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
-#include <set>
-#include <sstream>
 
 namespace scn::spec {
-namespace {
 
 using topo::PlatformParams;
 
-// Registry constructors: one per kind, so a wrong member/kind pairing cannot
-// compile into a null-deref at parse time.
-Field fs(const char* sec, const char* key, std::string PlatformParams::* m, bool req,
-         const char* doc) {
-  Field f{sec, key, FieldKind::kString, req, doc};
-  f.s = m;
-  return f;
-}
-Field fi(const char* sec, const char* key, int PlatformParams::* m, bool req, const char* doc) {
-  Field f{sec, key, FieldKind::kInt, req, doc};
-  f.i = m;
-  return f;
-}
-Field fu(const char* sec, const char* key, std::uint32_t PlatformParams::* m, bool req,
-         const char* doc) {
-  Field f{sec, key, FieldKind::kU32, req, doc};
-  f.u = m;
-  return f;
-}
-Field fd(const char* sec, const char* key, double PlatformParams::* m, bool req, const char* doc) {
-  Field f{sec, key, FieldKind::kDouble, req, doc};
-  f.d = m;
-  return f;
-}
-Field fb(const char* sec, const char* key, bool PlatformParams::* m, bool req, const char* doc) {
-  Field f{sec, key, FieldKind::kBool, req, doc};
-  f.b = m;
-  return f;
-}
-Field ft(const char* sec, const char* key, sim::Tick PlatformParams::* m, bool req,
-         const char* doc) {
-  Field f{sec, key, FieldKind::kTickNs, req, doc};
-  f.t = m;
-  return f;
-}
-Field ft4(const char* sec, const char* key, std::array<sim::Tick, 4> PlatformParams::* m, bool req,
-          const char* doc) {
-  Field f{sec, key, FieldKind::kTickNsArray4, req, doc};
-  f.t4 = m;
-  return f;
-}
-
-std::vector<Field> make_registry() {
+const Schema<PlatformParams>& platform_schema() {
   using P = PlatformParams;
-  std::vector<Field> r;
-  // [platform] — identity & Table 1 strings.
-  r.push_back(fs("platform", "name", &P::name, true, "display name (also a lookup alias)"));
-  r.push_back(fs("platform", "microarchitecture", &P::microarchitecture, false, ""));
-  r.push_back(fs("platform", "process_compute", &P::process_compute, false, ""));
-  r.push_back(fs("platform", "process_io", &P::process_io, false, ""));
-  r.push_back(fs("platform", "pcie", &P::pcie, false, "PCIe gen/lanes, e.g. Gen5/128"));
-  r.push_back(fd("platform", "base_ghz", &P::base_ghz, false, ""));
-  r.push_back(fd("platform", "turbo_ghz", &P::turbo_ghz, false, ""));
-  // [structure] — Table 1 structural counts.
-  r.push_back(fi("structure", "ccd_count", &P::ccd_count, true, "compute chiplets per CPU"));
-  r.push_back(fi("structure", "ccx_per_ccd", &P::ccx_per_ccd, true, "core complexes per CCD"));
-  r.push_back(fi("structure", "cores_per_ccx", &P::cores_per_ccx, true, ""));
-  r.push_back(fi("structure", "umc_count", &P::umc_count, true,
-                 "unified memory controllers on the I/O die"));
-  r.push_back(fd("structure", "l1_kb", &P::l1_kb, false, "per core"));
-  r.push_back(fd("structure", "l2_kb", &P::l2_kb, false, "per core"));
-  r.push_back(fd("structure", "l3_mb_per_ccx", &P::l3_mb_per_ccx, false, ""));
-  // [latency] — Table 2 constants and calibrated data-path budget, in ns.
-  r.push_back(ft("latency", "l1_lat", &P::l1_lat, false, "cache hit, Table 2"));
-  r.push_back(ft("latency", "l2_lat", &P::l2_lat, false, ""));
-  r.push_back(ft("latency", "l3_lat", &P::l3_lat, false, ""));
-  r.push_back(ft("latency", "core_out_lat", &P::core_out_lat, true,
-                 "miss walk + CCM, outbound"));
-  r.push_back(ft("latency", "return_lat", &P::return_lat, false,
-                 "fixed response-side tail into the core"));
-  r.push_back(ft("latency", "gmi_prop", &P::gmi_prop, false, "GMI link propagation"));
-  r.push_back(ft("latency", "shop_lat", &P::shop_lat, false, "switching-hop latency"));
-  r.push_back(fi("latency", "base_shops", &P::base_shops, false,
-                 "I/O-die hops even for a near DIMM"));
-  r.push_back(ft("latency", "cs_lat", &P::cs_lat, false, "coherent station"));
-  r.push_back(ft("latency", "iohub_lat", &P::iohub_lat, false, ""));
-  r.push_back(ft("latency", "rootcplx_lat", &P::rootcplx_lat, false,
-                 "PCIe root complex + I/O moderator"));
-  r.push_back(ft("latency", "plink_prop", &P::plink_prop, false, "P-Link propagation"));
-  r.push_back(ft("latency", "dram_access", &P::dram_access, true, "UMC + DRAM array access"));
-  r.push_back(ft("latency", "cxl_access", &P::cxl_access, false,
-                 "CXL controller + media access"));
-  r.push_back(ft("latency", "llc_peer_access", &P::llc_peer_access, false,
-                 "remote LLC slice access"));
-  r.push_back(ft4("latency", "position_extra", &P::position_extra, false,
-                  "extra RTT per DIMM position: near vertical horizontal diagonal"));
-  // [window] — source windows and traffic-control pools.
-  r.push_back(fu("window", "core_read_window", &P::core_read_window, true,
-                 "read tokens per core"));
-  r.push_back(fu("window", "core_write_window", &P::core_write_window, false,
-                 "posted NT writes in flight per core"));
-  r.push_back(fd("window", "core_write_issue_bw", &P::core_write_issue_bw, false,
-                 "per-core NT-write issue cap, GB/s (0 = uncapped)"));
-  r.push_back(fu("window", "cxl_core_read_window", &P::cxl_core_read_window, false,
-                 "P-Link per-requester credits"));
-  r.push_back(fu("window", "cxl_core_write_window", &P::cxl_core_write_window, false, ""));
-  r.push_back(fu("window", "ccx_pool", &P::ccx_pool, false,
-                 "CCX traffic-control pool (0 = level absent)"));
-  r.push_back(fu("window", "ccd_pool", &P::ccd_pool, false,
-                 "CCD traffic-control pool (0 = level absent)"));
-  // [bandwidth] — channel capacities, bytes/ns == GB/s.
-  r.push_back(fd("bandwidth", "ccx_up_bw", &P::ccx_up_bw, true, "CCX IF port, toward I/O die"));
-  r.push_back(fd("bandwidth", "ccx_down_bw", &P::ccx_down_bw, true, ""));
-  r.push_back(fd("bandwidth", "gmi_up_bw", &P::gmi_up_bw, true, "per-CCD GMI"));
-  r.push_back(fd("bandwidth", "gmi_down_bw", &P::gmi_down_bw, true, ""));
-  r.push_back(fd("bandwidth", "noc_up_bw", &P::noc_up_bw, true, "I/O-die trunk aggregate"));
-  r.push_back(fd("bandwidth", "noc_down_bw", &P::noc_down_bw, true, ""));
-  r.push_back(fd("bandwidth", "umc_read_bw", &P::umc_read_bw, true, "per-UMC service"));
-  r.push_back(fd("bandwidth", "umc_write_bw", &P::umc_write_bw, true, ""));
-  r.push_back(fd("bandwidth", "peer_out_bw", &P::peer_out_bw, false,
-                 "per-CCD LLC egress onto the cross mesh"));
-  r.push_back(fd("bandwidth", "peer_in_bw", &P::peer_in_bw, false, ""));
-  r.push_back(fd("bandwidth", "iodev_ccd_down_bw", &P::iodev_ccd_down_bw, false,
-                 "per-CCD device-read return credit (CXL platforms)"));
-  r.push_back(fd("bandwidth", "iodev_ccd_up_bw", &P::iodev_ccd_up_bw, false, ""));
-  r.push_back(fd("bandwidth", "plink_up_bw", &P::plink_up_bw, false, ""));
-  r.push_back(fd("bandwidth", "plink_down_bw", &P::plink_down_bw, false, ""));
-  r.push_back(fd("bandwidth", "cxl_read_bw", &P::cxl_read_bw, false,
-                 "CXL device service; <= 0 means no CXL module"));
-  r.push_back(fd("bandwidth", "cxl_write_bw", &P::cxl_write_bw, false, ""));
-  // [noise] — tail behaviour.
-  r.push_back(fd("noise", "hiccup_prob", &P::hiccup_prob, false,
-                 "per-request slow-access probability"));
-  r.push_back(ft("noise", "dram_hiccup", &P::dram_hiccup, false, ""));
-  r.push_back(ft("noise", "cxl_hiccup", &P::cxl_hiccup, false, ""));
-  r.push_back(ft("noise", "noise_interval", &P::noise_interval, false,
-                 "refresh-like endpoint stall period (0 disables)"));
-  r.push_back(fi("noise", "noise_burst_every", &P::noise_burst_every, false,
-                 "every Nth stall is longer"));
-  r.push_back(fd("noise", "noise_burst_factor", &P::noise_burst_factor, false, ""));
-  // [model] — substrate switches and Fig. 5 harvesting dynamics.
-  r.push_back(fb("model", "detailed_dram", &P::detailed_dram, false,
-                 "bank-level DRAM endpoints instead of abstract service rates"));
-  r.push_back(ft("model", "if_adjust_period", &P::if_adjust_period, false,
-                 "IF-class window adjustment period"));
-  r.push_back(ft("model", "plink_adjust_period", &P::plink_adjust_period, false, ""));
-  r.push_back(fd("model", "if_decrease_factor", &P::if_decrease_factor, false,
-                 "multiplicative decrease on congestion"));
-  r.push_back(fd("model", "if_congestion_ratio", &P::if_congestion_ratio, false,
-                 "tolerated RTT inflation before backoff"));
-  return r;
+  static const Schema<P> schema({
+      // [platform] — identity & Table 1 strings.
+      {"platform", "name", "display name (also a lookup alias)", true, at<&P::name>},
+      {"platform", "microarchitecture", "", false, at<&P::microarchitecture>},
+      {"platform", "process_compute", "", false, at<&P::process_compute>},
+      {"platform", "process_io", "", false, at<&P::process_io>},
+      {"platform", "pcie", "PCIe gen/lanes, e.g. Gen5/128", false, at<&P::pcie>},
+      {"platform", "base_ghz", "", false, at<&P::base_ghz>},
+      {"platform", "turbo_ghz", "", false, at<&P::turbo_ghz>},
+      // [structure] — Table 1 structural counts.
+      {"structure", "ccd_count", "compute chiplets per CPU", true, at<&P::ccd_count>},
+      {"structure", "ccx_per_ccd", "core complexes per CCD", true, at<&P::ccx_per_ccd>},
+      {"structure", "cores_per_ccx", "", true, at<&P::cores_per_ccx>},
+      {"structure", "umc_count", "unified memory controllers on the I/O die", true,
+       at<&P::umc_count>},
+      {"structure", "l1_kb", "per core", false, at<&P::l1_kb>},
+      {"structure", "l2_kb", "per core", false, at<&P::l2_kb>},
+      {"structure", "l3_mb_per_ccx", "", false, at<&P::l3_mb_per_ccx>},
+      // [latency] — Table 2 constants and calibrated data-path budget, in ns.
+      {"latency", "l1_lat", "cache hit, Table 2", false, at<&P::l1_lat>},
+      {"latency", "l2_lat", "", false, at<&P::l2_lat>},
+      {"latency", "l3_lat", "", false, at<&P::l3_lat>},
+      {"latency", "core_out_lat", "miss walk + CCM, outbound", true, at<&P::core_out_lat>},
+      {"latency", "return_lat", "fixed response-side tail into the core", false,
+       at<&P::return_lat>},
+      {"latency", "gmi_prop", "GMI link propagation", false, at<&P::gmi_prop>},
+      {"latency", "shop_lat", "switching-hop latency", false, at<&P::shop_lat>},
+      {"latency", "base_shops", "I/O-die hops even for a near DIMM", false, at<&P::base_shops>},
+      {"latency", "cs_lat", "coherent station", false, at<&P::cs_lat>},
+      {"latency", "iohub_lat", "", false, at<&P::iohub_lat>},
+      {"latency", "rootcplx_lat", "PCIe root complex + I/O moderator", false, at<&P::rootcplx_lat>},
+      {"latency", "plink_prop", "P-Link propagation", false, at<&P::plink_prop>},
+      {"latency", "dram_access", "UMC + DRAM array access", true, at<&P::dram_access>},
+      {"latency", "cxl_access", "CXL controller + media access", false, at<&P::cxl_access>},
+      {"latency", "llc_peer_access", "remote LLC slice access", false, at<&P::llc_peer_access>},
+      {"latency", "position_extra",
+       "extra RTT per DIMM position: near vertical horizontal diagonal", false,
+       at<&P::position_extra>},
+      // [window] — source windows and traffic-control pools.
+      {"window", "core_read_window", "read tokens per core", true, at<&P::core_read_window>},
+      {"window", "core_write_window", "posted NT writes in flight per core", false,
+       at<&P::core_write_window>},
+      {"window", "core_write_issue_bw", "per-core NT-write issue cap, GB/s (0 = uncapped)", false,
+       at<&P::core_write_issue_bw>},
+      {"window", "cxl_core_read_window", "P-Link per-requester credits", false,
+       at<&P::cxl_core_read_window>},
+      {"window", "cxl_core_write_window", "", false, at<&P::cxl_core_write_window>},
+      {"window", "ccx_pool", "CCX traffic-control pool (0 = level absent)", false,
+       at<&P::ccx_pool>},
+      {"window", "ccd_pool", "CCD traffic-control pool (0 = level absent)", false,
+       at<&P::ccd_pool>},
+      // [bandwidth] — channel capacities, bytes/ns == GB/s.
+      {"bandwidth", "ccx_up_bw", "CCX IF port, toward I/O die", true, at<&P::ccx_up_bw>},
+      {"bandwidth", "ccx_down_bw", "", true, at<&P::ccx_down_bw>},
+      {"bandwidth", "gmi_up_bw", "per-CCD GMI", true, at<&P::gmi_up_bw>},
+      {"bandwidth", "gmi_down_bw", "", true, at<&P::gmi_down_bw>},
+      {"bandwidth", "noc_up_bw", "I/O-die trunk aggregate", true, at<&P::noc_up_bw>},
+      {"bandwidth", "noc_down_bw", "", true, at<&P::noc_down_bw>},
+      {"bandwidth", "umc_read_bw", "per-UMC service", true, at<&P::umc_read_bw>},
+      {"bandwidth", "umc_write_bw", "", true, at<&P::umc_write_bw>},
+      {"bandwidth", "peer_out_bw", "per-CCD LLC egress onto the cross mesh", false,
+       at<&P::peer_out_bw>},
+      {"bandwidth", "peer_in_bw", "", false, at<&P::peer_in_bw>},
+      {"bandwidth", "iodev_ccd_down_bw", "per-CCD device-read return credit (CXL platforms)", false,
+       at<&P::iodev_ccd_down_bw>},
+      {"bandwidth", "iodev_ccd_up_bw", "", false, at<&P::iodev_ccd_up_bw>},
+      {"bandwidth", "plink_up_bw", "", false, at<&P::plink_up_bw>},
+      {"bandwidth", "plink_down_bw", "", false, at<&P::plink_down_bw>},
+      {"bandwidth", "cxl_read_bw", "CXL device service; <= 0 means no CXL module", false,
+       at<&P::cxl_read_bw>},
+      {"bandwidth", "cxl_write_bw", "", false, at<&P::cxl_write_bw>},
+      // [noise] — tail behaviour.
+      {"noise", "hiccup_prob", "per-request slow-access probability", false, at<&P::hiccup_prob>},
+      {"noise", "dram_hiccup", "", false, at<&P::dram_hiccup>},
+      {"noise", "cxl_hiccup", "", false, at<&P::cxl_hiccup>},
+      {"noise", "noise_interval", "refresh-like endpoint stall period (0 disables)", false,
+       at<&P::noise_interval>},
+      {"noise", "noise_burst_every", "every Nth stall is longer", false, at<&P::noise_burst_every>},
+      {"noise", "noise_burst_factor", "", false, at<&P::noise_burst_factor>},
+      // [model] — substrate switches and Fig. 5 harvesting dynamics.
+      {"model", "detailed_dram",
+       "bank-level DRAM endpoints instead of abstract service rates", false,
+       at<&P::detailed_dram>},
+      {"model", "if_adjust_period", "IF-class window adjustment period", false,
+       at<&P::if_adjust_period>},
+      {"model", "plink_adjust_period", "", false, at<&P::plink_adjust_period>},
+      {"model", "if_decrease_factor", "multiplicative decrease on congestion", false,
+       at<&P::if_decrease_factor>},
+      {"model", "if_congestion_ratio", "tolerated RTT inflation before backoff", false,
+       at<&P::if_congestion_ratio>},
+  });
+  return schema;
 }
 
-// ---- formatting ------------------------------------------------------------
-
-/// Shortest decimal that reparses to exactly the same double (tries
-/// precision 15, 16, 17 — 17 always round-trips IEEE binary64).
-std::string format_double(double v) {
-  char buf[64];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
+bool is_policy_section(std::string_view section) {
+  return section == "gtm" || section == "arrivals" || section == "tier";
 }
 
-/// Ticks rendered in ns. to_ns is exact enough that from_ns(to_ns(t)) == t
-/// for every |t| < 2^52 ps (~52 days), far beyond any experiment here; the
-/// decimal itself round-trips via format_double.
-std::string format_tick(sim::Tick t) { return format_double(sim::to_ns(t)); }
-
-std::string format_value(const Field& f, const PlatformParams& p) {
-  switch (f.kind) {
-    case FieldKind::kString: return p.*(f.s);
-    case FieldKind::kInt: return std::to_string(p.*(f.i));
-    case FieldKind::kU32: return std::to_string(p.*(f.u));
-    case FieldKind::kDouble: return format_double(p.*(f.d));
-    case FieldKind::kBool: return (p.*(f.b)) ? "true" : "false";
-    case FieldKind::kTickNs: return format_tick(p.*(f.t));
-    case FieldKind::kTickNsArray4: {
-      const auto& a = p.*(f.t4);
-      return format_tick(a[0]) + " " + format_tick(a[1]) + " " + format_tick(a[2]) + " " +
-             format_tick(a[3]);
-    }
-  }
-  return {};
-}
-
-// ---- parsing ---------------------------------------------------------------
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) s.remove_prefix(1);
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) s.remove_suffix(1);
-  return s;
-}
-
-[[noreturn]] void fail(const std::string& source, int line, const std::string& msg) {
-  throw Error(source + ":" + std::to_string(line) + ": " + msg);
-}
-
-double parse_double(std::string_view v, const std::string& source, int line, const char* key) {
-  const std::string str(v);
-  errno = 0;
-  char* end = nullptr;
-  const double d = std::strtod(str.c_str(), &end);
-  if (end == str.c_str() || *end != '\0' || errno == ERANGE) {
-    fail(source, line, std::string("bad number '") + str + "' for key '" + key + "'");
-  }
-  return d;
-}
-
-long long parse_integer(std::string_view v, const std::string& source, int line, const char* key) {
-  const std::string str(v);
-  errno = 0;
-  char* end = nullptr;
-  const long long i = std::strtoll(str.c_str(), &end, 10);
-  if (end == str.c_str() || *end != '\0' || errno == ERANGE) {
-    fail(source, line, std::string("bad integer '") + str + "' for key '" + key + "'");
-  }
-  return i;
-}
-
-void assign(const Field& f, PlatformParams& p, std::string_view value, const std::string& source,
-            int line) {
-  switch (f.kind) {
-    case FieldKind::kString: p.*(f.s) = std::string(value); break;
-    case FieldKind::kInt:
-      p.*(f.i) = static_cast<int>(parse_integer(value, source, line, f.key));
-      break;
-    case FieldKind::kU32: {
-      const long long v = parse_integer(value, source, line, f.key);
-      if (v < 0) fail(source, line, std::string("key '") + f.key + "' must be non-negative");
-      p.*(f.u) = static_cast<std::uint32_t>(v);
-      break;
-    }
-    case FieldKind::kDouble: p.*(f.d) = parse_double(value, source, line, f.key); break;
-    case FieldKind::kBool: {
-      if (value == "true" || value == "1") {
-        p.*(f.b) = true;
-      } else if (value == "false" || value == "0") {
-        p.*(f.b) = false;
-      } else {
-        fail(source, line,
-             std::string("bad bool '") + std::string(value) + "' for key '" + f.key +
-                 "' (use true/false)");
-      }
-      break;
-    }
-    case FieldKind::kTickNs:
-      p.*(f.t) = sim::from_ns(parse_double(value, source, line, f.key));
-      break;
-    case FieldKind::kTickNsArray4: {
-      std::istringstream in{std::string(value)};
-      std::string tok;
-      std::vector<sim::Tick> ticks;
-      while (in >> tok) ticks.push_back(sim::from_ns(parse_double(tok, source, line, f.key)));
-      if (ticks.size() != 4) {
-        fail(source, line,
-             std::string("key '") + f.key + "' needs exactly 4 ns values, got " +
-                 std::to_string(ticks.size()));
-      }
-      auto& a = p.*(f.t4);
-      for (std::size_t k = 0; k < 4; ++k) a[k] = ticks[k];
-      break;
-    }
-  }
-}
-
-const Field* find_field(const std::string& section, std::string_view key) {
-  for (const auto& f : fields()) {
-    if (section == f.section && key == f.key) return &f;
-  }
-  return nullptr;
-}
-
-bool section_exists(std::string_view section) {
-  for (const auto& f : fields()) {
-    if (section == f.section) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-const std::vector<Field>& fields() {
-  static const std::vector<Field> registry = make_registry();
-  return registry;
-}
-
-topo::PlatformParams parse(std::string_view text, const std::string& source) {
+topo::PlatformParams parse(const Document& doc) {
+  doc.check_sections([](std::string_view s) {
+    return platform_schema().owns(s) || is_policy_section(s);
+  });
   PlatformParams p;
-  std::string section;
-  std::set<std::string> seen_sections;
-  std::set<const Field*> seen_keys;
-
-  int line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    std::string_view raw = text.substr(pos, eol == std::string_view::npos ? eol : eol - pos);
-    pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-    ++line_no;
-
-    const std::string_view line = trim(raw);
-    if (line.empty() || line.front() == '#') continue;
-
-    if (line.front() == '[') {
-      if (line.back() != ']') fail(source, line_no, "unterminated section header");
-      section = std::string(trim(line.substr(1, line.size() - 2)));
-      // [gtm] and [arrivals] belong to the Global Traffic Manager schema and
-      // [tier] to the tiered-memory schema; a platform spec may carry them
-      // (gtm::parse_gtm / tier::parse_tier validate those keys).
-      if (!section_exists(section) && section != "gtm" && section != "arrivals" &&
-          section != "tier") {
-        fail(source, line_no, "unknown section [" + section + "]");
-      }
-      if (!seen_sections.insert(section).second) {
-        fail(source, line_no, "duplicate section [" + section + "]");
-      }
-      continue;
-    }
-    if (section == "gtm" || section == "arrivals" || section == "tier") continue;
-
-    const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos) {
-      fail(source, line_no, "expected 'key = value' or '[section]', got '" + std::string(line) + "'");
-    }
-    const std::string key{trim(line.substr(0, eq))};
-    const std::string_view value = trim(line.substr(eq + 1));
-    if (section.empty()) {
-      fail(source, line_no, "key '" + key + "' before any [section] header");
-    }
-    const Field* f = find_field(section, key);
-    if (f == nullptr) {
-      fail(source, line_no, "unknown key '" + key + "' in section [" + section + "]");
-    }
-    if (!seen_keys.insert(f).second) {
-      fail(source, line_no, "duplicate key '" + key + "' in section [" + section + "]");
-    }
-    assign(*f, p, value, source, line_no);
-  }
-
-  for (const auto& f : fields()) {
-    if (f.required && seen_keys.count(&f) == 0) {
-      fail(source, line_no,
-           std::string("missing required key '") + f.key + "' in section [" + f.section + "]");
-    }
-  }
-
-  validate_or_throw(p, source);
+  platform_schema().read(doc, p);
+  validate_or_throw(p, doc.source);
   return p;
 }
 
-topo::PlatformParams load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error(path + ": cannot open spec file");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse(buf.str(), path);
+topo::PlatformParams parse(std::string_view text, const std::string& source) {
+  return parse(tokenize(text, source));
 }
 
+topo::PlatformParams load(const std::string& path) { return parse(read_file(path), path); }
+
 std::string dump(const topo::PlatformParams& params) {
-  std::string out;
-  out += "# chipletnet platform spec (.scn)\n";
-  out += "# Tick-valued keys are nanoseconds; bandwidths are bytes/ns (GB/s).\n";
-  const char* section = "";
-  for (const auto& f : fields()) {
-    if (std::strcmp(section, f.section) != 0) {
-      section = f.section;
-      out += "\n[";
-      out += section;
-      out += "]\n";
-    }
-    if (f.doc != nullptr && f.doc[0] != '\0') {
-      out += "# ";
-      out += f.doc;
-      out += "\n";
-    }
-    out += f.key;
-    out += " = ";
-    out += format_value(f, params);
-    out += "\n";
-  }
-  return out;
+  return "# chipletnet platform spec (.scn)\n"
+         "# Tick-valued keys are nanoseconds; bandwidths are bytes/ns (GB/s).\n"
+         "\n" +
+         platform_schema().dump(params);
 }
 
 std::vector<std::string> validate(const topo::PlatformParams& p) {
@@ -464,52 +201,28 @@ std::vector<std::string> validate(const topo::PlatformParams& p) {
 }
 
 void validate_or_throw(const topo::PlatformParams& params, const std::string& context) {
-  const auto errors = validate(params);
-  if (errors.empty()) return;
-  std::string msg = context + ": invalid platform parameters:";
-  for (const auto& e : errors) {
-    msg += "\n  ";
-    msg += e;
-  }
-  throw Error(msg);
+  throw_if_invalid(validate(params), context, "platform");
 }
 
 topo::PlatformParams resolve(const std::string& name_or_path) {
-  if (is_builtin(name_or_path)) return lookup(name_or_path);
-  if (name_or_path.size() >= 4 &&
-      name_or_path.compare(name_or_path.size() - 4, 4, ".scn") == 0) {
-    return load(name_or_path);
+  return parse(resolve_text(name_or_path), name_or_path);
+}
+
+std::string resolve_text(const std::string& name_or_path) {
+  if (is_builtin(name_or_path)) return builtin_text(name_or_path);
+  // A .scn path or any existing file is read as a spec; anything else is a
+  // mistyped name, so report the builtin list.
+  if (!name_or_path.ends_with(".scn") && !std::ifstream(name_or_path)) {
+    std::string msg = "unknown platform '" + name_or_path + "' (builtins:";
+    for (const auto& n : builtin_names()) msg += " " + n;
+    msg += "; or pass a .scn file path)";
+    throw Error(msg);
   }
-  // Not a builtin, not a .scn path: still try the file so bare paths work,
-  // but report the builtin list when it does not exist.
-  std::ifstream probe(name_or_path);
-  if (probe) return load(name_or_path);
-  std::string msg = "unknown platform '" + name_or_path + "' (builtins:";
-  for (const auto& n : builtin_names()) msg += " " + n;
-  msg += "; or pass a .scn file path)";
-  throw Error(msg);
+  return read_file(name_or_path);
 }
 
 std::vector<std::string> diff(const topo::PlatformParams& a, const topo::PlatformParams& b) {
-  std::vector<std::string> out;
-  for (const auto& f : fields()) {
-    const std::string va = format_value(f, a);
-    const std::string vb = format_value(f, b);
-    bool equal = false;
-    switch (f.kind) {
-      case FieldKind::kString: equal = a.*(f.s) == b.*(f.s); break;
-      case FieldKind::kInt: equal = a.*(f.i) == b.*(f.i); break;
-      case FieldKind::kU32: equal = a.*(f.u) == b.*(f.u); break;
-      case FieldKind::kDouble: equal = (a.*(f.d) == b.*(f.d)); break;
-      case FieldKind::kBool: equal = a.*(f.b) == b.*(f.b); break;
-      case FieldKind::kTickNs: equal = a.*(f.t) == b.*(f.t); break;
-      case FieldKind::kTickNsArray4: equal = a.*(f.t4) == b.*(f.t4); break;
-    }
-    if (!equal) {
-      out.push_back(std::string("[") + f.section + "] " + f.key + ": " + va + " != " + vb);
-    }
-  }
-  return out;
+  return platform_schema().diff(a, b);
 }
 
 }  // namespace scn::spec

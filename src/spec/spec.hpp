@@ -1,71 +1,39 @@
 // Declarative platform specs: platforms as data, not code (paper §4's
 // hardware-abstracted device tree, applied to the simulator's own inputs).
 //
-// A `.scn` file is a minimal section/key-value text format:
-//
-//   # comment (full line only)
-//   [section]
-//   key = value
-//
-// Every PlatformParams field is bound by name in one field-registry table
-// (spec::fields()) shared by parse, validate, dump and diff — the single
-// source of truth for the schema. Tick-typed fields are written in
-// nanoseconds; bandwidths in bytes/ns (== GB/s). The two characterized
-// processors are themselves spec texts embedded in this library
-// (spec::lookup), so `topo::epyc9634()` and `spec::load("epyc9634.scn")`
-// flow through the exact same parser, and dump -> parse round-trips
-// bit-identically (proven by tests/test_spec.cpp and the golden CI step).
+// A `.scn` platform file carries the hardware sections of the platform
+// schema ([platform], [structure], [latency], [window], [bandwidth],
+// [noise], [model]) and may also carry the policy sections [gtm],
+// [arrivals] and [tier], which the GTM and tier schemas own
+// (cluster::load_platform_file reads all of them from one pass over the
+// text). Every PlatformParams field is one row of the platform schema
+// (spec::platform_schema(), a spec::Schema driven by the shared engine in
+// spec/schema.hpp), which backs parse, dump and diff. Tick-typed fields are
+// written in nanoseconds; bandwidths in bytes/ns (== GB/s). The two
+// characterized processors are themselves spec texts embedded in this
+// library (spec::lookup), so `topo::epyc9634()` and
+// `spec::load("epyc9634.scn")` flow through the exact same parser, and
+// dump -> parse round-trips bit-identically (proven by tests/test_spec.cpp
+// and the golden CI step).
 #pragma once
 
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "spec/schema.hpp"
 #include "topo/params.hpp"
 
 namespace scn::spec {
 
-/// Thrown on malformed spec text, unknown platform names, unreadable files
-/// and semantic validation failures. Messages carry file:line context where
-/// a source location exists.
-class Error : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
+/// The platform schema: every PlatformParams field, in canonical (dump)
+/// order.
+[[nodiscard]] const Schema<topo::PlatformParams>& platform_schema();
 
-// ---- schema: the field registry -------------------------------------------
-
-enum class FieldKind {
-  kString,
-  kInt,
-  kU32,
-  kDouble,
-  kBool,
-  kTickNs,        ///< sim::Tick member, spelled in nanoseconds
-  kTickNsArray4,  ///< std::array<sim::Tick, 4>, four ns values separated by spaces
-};
-
-/// One schema entry binding a [section] key to a PlatformParams member.
-/// Exactly one member pointer is non-null, matching `kind`.
-struct Field {
-  const char* section;
-  const char* key;
-  FieldKind kind;
-  bool required;    ///< hand-written specs must provide it; dump always emits it
-  const char* doc;  ///< one-line comment emitted above the key by dump()
-
-  std::string topo::PlatformParams::* s = nullptr;
-  int topo::PlatformParams::* i = nullptr;
-  std::uint32_t topo::PlatformParams::* u = nullptr;
-  double topo::PlatformParams::* d = nullptr;
-  bool topo::PlatformParams::* b = nullptr;
-  sim::Tick topo::PlatformParams::* t = nullptr;
-  std::array<sim::Tick, 4> topo::PlatformParams::* t4 = nullptr;
-};
-
-/// The full registry, in canonical (dump) order.
-[[nodiscard]] const std::vector<Field>& fields();
+/// True for the sections the GTM ([gtm], [arrivals]) and tier ([tier])
+/// schemas own. Platform and cluster files may both carry them; the platform
+/// parser leaves them to gtm::parse_gtm / tier::parse_tier.
+[[nodiscard]] bool is_policy_section(std::string_view section);
 
 // ---- parse / dump ---------------------------------------------------------
 
@@ -74,6 +42,10 @@ struct Field {
 /// Throws spec::Error.
 [[nodiscard]] topo::PlatformParams parse(std::string_view text,
                                          const std::string& source = "<spec>");
+
+/// Parse the platform sections of a tokenized file; rejects sections that
+/// are neither platform nor policy sections. Runs validate() on the result.
+[[nodiscard]] topo::PlatformParams parse(const Document& doc);
 
 /// Read and parse a `.scn` file. Throws spec::Error.
 [[nodiscard]] topo::PlatformParams load(const std::string& path);
@@ -115,9 +87,14 @@ void validate_or_throw(const topo::PlatformParams& params, const std::string& co
 /// `.scn` file. Throws spec::Error.
 [[nodiscard]] topo::PlatformParams resolve(const std::string& name_or_path);
 
+/// The spec text behind a `--platform` argument: a built-in's embedded text,
+/// else the file's contents. Throws spec::Error listing the built-ins when
+/// the argument is neither.
+[[nodiscard]] std::string resolve_text(const std::string& name_or_path);
+
 // ---- diff -----------------------------------------------------------------
 
-/// Field-by-field comparison via the registry; returns one
+/// Field-by-field comparison via the schema; returns one
 /// "[section] key: <a> != <b>" line per differing field. Empty means the
 /// two parameter sets are field-equal (exact, bit-level for doubles).
 [[nodiscard]] std::vector<std::string> diff(const topo::PlatformParams& a,

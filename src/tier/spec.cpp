@@ -1,211 +1,50 @@
 #include "tier/spec.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <set>
-
 namespace scn::tier {
 namespace {
 
-TierField ts(const char* key, std::string TierParams::* m, const char* doc) {
-  TierField f{key, TierFieldKind::kString, doc};
-  f.s = m;
-  return f;
-}
-TierField ti(const char* key, int TierParams::* m, const char* doc) {
-  TierField f{key, TierFieldKind::kInt, doc};
-  f.i = m;
-  return f;
-}
-TierField td(const char* key, double TierParams::* m, const char* doc) {
-  TierField f{key, TierFieldKind::kDouble, doc};
-  f.d = m;
-  return f;
-}
-TierField tt(const char* key, sim::Tick TierParams::* m, const char* doc) {
-  TierField f{key, TierFieldKind::kTickNs, doc};
-  f.t = m;
-  return f;
-}
-
-std::vector<TierField> make_registry() {
+const spec::Schema<TierParams>& tier_schema() {
   using T = TierParams;
-  std::vector<TierField> r;
-  r.push_back(ts("mode", &T::mode, "off | track | migrate"));
-  r.push_back(td("page_kb", &T::page_kb, "region (page) size"));
-  r.push_back(tt("epoch_ns", &T::epoch, "hotness decay / classification / migration period"));
-  r.push_back(ti("regions", &T::regions, "tiered address space, in pages"));
-  r.push_back(ti("dram_pages", &T::dram_pages, "DRAM-side capacity, in pages"));
-  r.push_back(td("dram_reserve", &T::dram_reserve,
-                 "fraction of dram_pages kept free for incoming promotions"));
-  r.push_back(td("promote_threshold", &T::promote_threshold,
-                 "decayed accesses/epoch at/above which a region is hot"));
-  r.push_back(td("demote_threshold", &T::demote_threshold,
-                 "decayed accesses/epoch at/below which a region is cold"));
-  r.push_back(ti("hysteresis_epochs", &T::hysteresis_epochs,
-                 "consecutive epochs past a threshold before the class flips"));
-  r.push_back(td("migrate_gbps", &T::migrate_gbps,
-                 "migration bandwidth budget per epoch (0 = track-only movement)"));
-  r.push_back(ti("ws_pages", &T::ws_pages,
-                 "serve-layer hot working-set window, pages per segment"));
-  r.push_back(tt("drift_ns", &T::drift,
-                 "window start advances one page per this period (0 = static)"));
-  return r;
-}
-
-std::string format_double(double v) {
-  char buf[64];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
-
-std::string format_value(const TierField& f, const TierParams& p) {
-  switch (f.kind) {
-    case TierFieldKind::kString: return p.*(f.s);
-    case TierFieldKind::kInt: return std::to_string(p.*(f.i));
-    case TierFieldKind::kDouble: return format_double(p.*(f.d));
-    case TierFieldKind::kTickNs: return format_double(sim::to_ns(p.*(f.t)));
-  }
-  return {};
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) s.remove_prefix(1);
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) s.remove_suffix(1);
-  return s;
-}
-
-[[noreturn]] void fail(const std::string& source, int line, const std::string& msg) {
-  throw spec::Error(source + ":" + std::to_string(line) + ": " + msg);
-}
-
-double parse_double_or_fail(std::string_view v, const std::string& source, int line,
-                            const char* key) {
-  const std::string str(v);
-  errno = 0;
-  char* end = nullptr;
-  const double d = std::strtod(str.c_str(), &end);
-  if (end == str.c_str() || *end != '\0' || errno == ERANGE) {
-    fail(source, line, std::string("bad number '") + str + "' for key '" + key + "'");
-  }
-  return d;
-}
-
-long long parse_integer_or_fail(std::string_view v, const std::string& source, int line,
-                                const char* key) {
-  const std::string str(v);
-  errno = 0;
-  char* end = nullptr;
-  const long long i = std::strtoll(str.c_str(), &end, 10);
-  if (end == str.c_str() || *end != '\0' || errno == ERANGE) {
-    fail(source, line, std::string("bad integer '") + str + "' for key '" + key + "'");
-  }
-  return i;
-}
-
-void assign(const TierField& f, TierParams& p, std::string_view value, const std::string& source,
-            int line) {
-  switch (f.kind) {
-    case TierFieldKind::kString: p.*(f.s) = std::string(value); break;
-    case TierFieldKind::kInt:
-      p.*(f.i) = static_cast<int>(parse_integer_or_fail(value, source, line, f.key));
-      break;
-    case TierFieldKind::kDouble:
-      p.*(f.d) = parse_double_or_fail(value, source, line, f.key);
-      break;
-    case TierFieldKind::kTickNs:
-      p.*(f.t) = sim::from_ns(parse_double_or_fail(value, source, line, f.key));
-      break;
-  }
-}
-
-const TierField* find_field(std::string_view key) {
-  for (const auto& f : tier_fields()) {
-    if (key == f.key) return &f;
-  }
-  return nullptr;
+  using spec::at;
+  static const spec::Schema<T> schema({
+      {"tier", "mode", "off | track | migrate", false, at<&T::mode>},
+      {"tier", "page_kb", "region (page) size", false, at<&T::page_kb>},
+      {"tier", "epoch_ns", "hotness decay / classification / migration period", false,
+       at<&T::epoch>},
+      {"tier", "regions", "tiered address space, in pages", false, at<&T::regions>},
+      {"tier", "dram_pages", "DRAM-side capacity, in pages", false, at<&T::dram_pages>},
+      {"tier", "dram_reserve", "fraction of dram_pages kept free for incoming promotions", false,
+       at<&T::dram_reserve>},
+      {"tier", "promote_threshold", "decayed accesses/epoch at/above which a region is hot",
+       false, at<&T::promote_threshold>},
+      {"tier", "demote_threshold", "decayed accesses/epoch at/below which a region is cold",
+       false, at<&T::demote_threshold>},
+      {"tier", "hysteresis_epochs", "consecutive epochs past a threshold before the class flips",
+       false, at<&T::hysteresis_epochs>},
+      {"tier", "migrate_gbps", "migration bandwidth budget per epoch (0 = track-only movement)",
+       false, at<&T::migrate_gbps>},
+      {"tier", "ws_pages", "serve-layer hot working-set window, pages per segment", false,
+       at<&T::ws_pages>},
+      {"tier", "drift_ns", "window start advances one page per this period (0 = static)", false,
+       at<&T::drift>},
+  });
+  return schema;
 }
 
 }  // namespace
 
-const std::vector<TierField>& tier_fields() {
-  static const std::vector<TierField> registry = make_registry();
-  return registry;
-}
-
-TierParams parse_tier(std::string_view text, const std::string& source) {
+TierParams parse_tier(const spec::Document& doc) {
   TierParams p;
-  std::string section;
-  bool seen_tier = false;
-  std::set<const TierField*> seen_keys;
-
-  int line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    std::string_view raw = text.substr(pos, eol == std::string_view::npos ? eol : eol - pos);
-    pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-    ++line_no;
-
-    const std::string_view line = trim(raw);
-    if (line.empty() || line.front() == '#') continue;
-
-    if (line.front() == '[') {
-      if (line.back() != ']') fail(source, line_no, "unterminated section header");
-      section = std::string(trim(line.substr(1, line.size() - 2)));
-      if (section == "tier") {
-        if (seen_tier) fail(source, line_no, "duplicate section [tier]");
-        seen_tier = true;
-      }
-      continue;
-    }
-
-    // Keys in other sections belong to the platform, cluster or GTM schema;
-    // their parsers validate them. This scanner only owns [tier].
-    if (section != "tier") continue;
-
-    const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos) {
-      fail(source, line_no,
-           "expected 'key = value' or '[section]', got '" + std::string(line) + "'");
-    }
-    const std::string key{trim(line.substr(0, eq))};
-    const std::string_view value = trim(line.substr(eq + 1));
-    const TierField* f = find_field(key);
-    if (f == nullptr) {
-      fail(source, line_no, "unknown key '" + key + "' in section [tier]");
-    }
-    if (!seen_keys.insert(f).second) {
-      fail(source, line_no, "duplicate key '" + key + "' in section [tier]");
-    }
-    assign(*f, p, value, source, line_no);
-  }
-
-  validate_tier_or_throw(p, source);
+  tier_schema().read(doc, p);
+  spec::throw_if_invalid(validate_tier(p), doc.source, "tier");
   return p;
 }
 
-std::string dump_tier(const TierParams& params) {
-  std::string out = "[tier]\n";
-  for (const auto& f : tier_fields()) {
-    if (f.doc != nullptr && f.doc[0] != '\0') {
-      out += "# ";
-      out += f.doc;
-      out += "\n";
-    }
-    out += f.key;
-    out += " = ";
-    out += format_value(f, params);
-    out += "\n";
-  }
-  return out;
+TierParams parse_tier(std::string_view text, const std::string& source) {
+  return parse_tier(spec::tokenize(text, source));
 }
+
+std::string dump_tier(const TierParams& params) { return tier_schema().dump(params); }
 
 std::vector<std::string> validate_tier(const TierParams& p) {
   std::vector<std::string> errors;
@@ -238,33 +77,8 @@ std::vector<std::string> validate_tier(const TierParams& p) {
   return errors;
 }
 
-void validate_tier_or_throw(const TierParams& params, const std::string& context) {
-  const auto errors = validate_tier(params);
-  if (errors.empty()) return;
-  std::string msg = context + ": invalid tier parameters:";
-  for (const auto& e : errors) {
-    msg += "\n  ";
-    msg += e;
-  }
-  throw spec::Error(msg);
-}
-
 std::vector<std::string> diff_tier(const TierParams& a, const TierParams& b) {
-  std::vector<std::string> out;
-  for (const auto& f : tier_fields()) {
-    bool equal = false;
-    switch (f.kind) {
-      case TierFieldKind::kString: equal = a.*(f.s) == b.*(f.s); break;
-      case TierFieldKind::kInt: equal = a.*(f.i) == b.*(f.i); break;
-      case TierFieldKind::kDouble: equal = a.*(f.d) == b.*(f.d); break;
-      case TierFieldKind::kTickNs: equal = a.*(f.t) == b.*(f.t); break;
-    }
-    if (!equal) {
-      out.push_back(std::string("[tier] ") + f.key + ": " + format_value(f, a) + " != " +
-                    format_value(f, b));
-    }
-  }
-  return out;
+  return tier_schema().diff(a, b);
 }
 
 TierConfig to_config(const TierParams& p) {

@@ -1,8 +1,5 @@
-// Declarative tiered-memory policy: the CXL tier's knobs as data.
-//
-// PR 3 made platforms data and PR 7 did the same for the Global Traffic
-// Manager; this extends the registry pattern to the tiering subsystem. One
-// new section may appear in any `.scn` or `.scnc` spec:
+// Declarative tiered-memory policy: the CXL tier's knobs as data. One
+// section holds them:
 //
 //   [tier]
 //   mode = off | track | migrate
@@ -18,12 +15,14 @@
 //   ws_pages = 64
 //   drift_ns = 0
 //
-// The same field-registry machinery as the platform and GTM schemas backs
-// parse, dump, validate and diff. parse_tier() scans any spec text and
-// consumes *only* the [tier] section — platform/cluster/GTM sections belong
-// to their own parsers — which is what lets one file carry hardware, policy
-// and tiering side by side. The default (`mode = off`) reproduces the
-// pre-tier behavior exactly, so a spec without this section changes nothing.
+// It may appear in a `.scn` platform file or a `.scnc` cluster file, and a
+// `--tier-spec` file may hold it alone. It is one table of the shared
+// spec::Schema engine (spec/schema.hpp), which backs parse, dump and diff.
+// parse_tier() reads *only* the [tier] section of a text — platform,
+// cluster and GTM sections belong to their own schemas — which is what lets
+// one file carry hardware, policy and tiering side by side. The default
+// (`mode = off`) reproduces the pre-tier behavior exactly, so a spec without
+// this section changes nothing.
 #pragma once
 
 #include <string>
@@ -35,7 +34,7 @@
 
 namespace scn::tier {
 
-/// Flat, string-typed mirror of TierConfig: the schema the registry binds
+/// Flat, string-typed mirror of TierConfig: the struct the schema binds
 /// to. The mode stays a string here so dump/diff print the spec vocabulary;
 /// to_config() converts and rejects unknown words.
 struct TierParams {
@@ -55,28 +54,13 @@ struct TierParams {
   [[nodiscard]] bool operator==(const TierParams&) const = default;
 };
 
-enum class TierFieldKind { kString, kInt, kDouble, kTickNs };
-
-/// One schema entry binding a [tier] key to a TierParams member.
-struct TierField {
-  const char* key;
-  TierFieldKind kind;
-  const char* doc;
-  std::string TierParams::* s = nullptr;
-  int TierParams::* i = nullptr;
-  double TierParams::* d = nullptr;
-  sim::Tick TierParams::* t = nullptr;
-};
-
-/// The full registry, in canonical (dump) order.
-[[nodiscard]] const std::vector<TierField>& tier_fields();
-
 /// Extract [tier] settings from spec text. Other sections are skipped
-/// untouched (they belong to the platform, cluster or GTM parser), so this
+/// untouched (they belong to the platform, cluster or GTM schema), so this
 /// can run over a full `.scn`/`.scnc` file. Unknown or duplicate keys inside
 /// [tier] throw spec::Error; a text without the section returns all
-/// defaults. Runs validate_tier_or_throw on the result.
+/// defaults. Throws unless validate_tier passes.
 [[nodiscard]] TierParams parse_tier(std::string_view text, const std::string& source = "<spec>");
+[[nodiscard]] TierParams parse_tier(const spec::Document& doc);
 
 /// Canonical [tier] section text (no file header); dump -> parse_tier
 /// round-trips bit-identically.
@@ -84,7 +68,6 @@ struct TierField {
 
 /// Semantic checks (vocabulary and ranges); empty means valid.
 [[nodiscard]] std::vector<std::string> validate_tier(const TierParams& params);
-void validate_tier_or_throw(const TierParams& params, const std::string& context);
 
 /// One line per differing field, "[tier] key: a != b" (same convention as
 /// spec::diff).

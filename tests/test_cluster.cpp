@@ -415,6 +415,16 @@ TEST(ClusterSpec, RejectsMalformedInput) {
                                       "request_bytes = 64\nrequest_bytes = 64\n",
                                       "t"),
                spec::Error);
+  // [cluster] obeys the duplicate-section and duplicate-key rules every
+  // section shares.
+  EXPECT_THROW(cluster::parse_cluster("[cluster]\nservers = epyc7302\n"
+                                      "[cluster]\nservers = epyc7302\n",
+                                      "t"),
+               spec::Error);
+  EXPECT_THROW(cluster::parse_cluster("[cluster]\nservers = epyc7302\n"
+                                      "servers = epyc9634\n",
+                                      "t"),
+               spec::Error);
 }
 
 TEST(ClusterSpec, LoadsTheCommittedRackExample) {

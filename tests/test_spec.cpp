@@ -7,6 +7,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <variant>
 
 #include "sim/simulator.hpp"
 #include "spec/spec.hpp"
@@ -78,22 +79,21 @@ TEST(SpecRoundTrip, LoadFromFileRoundTrips) {
 // ---- schema ----------------------------------------------------------------
 
 TEST(SpecSchema, EveryFieldHasExactlyOneBinding) {
-  for (const auto& f : spec::fields()) {
-    int bound = 0;
-    bound += f.s != nullptr;
-    bound += f.i != nullptr;
-    bound += f.u != nullptr;
-    bound += f.d != nullptr;
-    bound += f.b != nullptr;
-    bound += f.t != nullptr;
-    bound += f.t4 != nullptr;
-    EXPECT_EQ(bound, 1) << "[" << f.section << "] " << f.key;
+  // Each row binds its own PlatformParams member: no two keys share storage.
+  topo::PlatformParams p;
+  const auto* lo = reinterpret_cast<const char*>(&p);
+  std::set<const char*> bound;
+  for (const auto& f : spec::platform_schema().fields) {
+    const auto* at = std::visit(
+        [](auto* v) { return reinterpret_cast<const char*>(v); }, f.slot(p));
+    EXPECT_TRUE(at >= lo && at < lo + sizeof(p)) << "[" << f.section << "] " << f.key;
+    EXPECT_TRUE(bound.insert(at).second) << "[" << f.section << "] " << f.key;
   }
 }
 
 TEST(SpecSchema, KeysAreUniquePerSection) {
   std::set<std::string> seen;
-  for (const auto& f : spec::fields()) {
+  for (const auto& f : spec::platform_schema().fields) {
     EXPECT_TRUE(seen.insert(std::string(f.section) + "/" + f.key).second)
         << "[" << f.section << "] " << f.key;
   }

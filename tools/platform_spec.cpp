@@ -5,23 +5,19 @@
 //   platform_spec validate <name|file>...   parse + validate, report per input
 //   platform_spec diff <a> <b>              field-level diff of two specs
 //
-// Arguments ending in `.scnc` dispatch to the cluster-spec schema (rack
-// composition + link + GTM sections); everything else is a platform spec or
-// builtin name. `diff` requires both sides to be the same schema.
+// Arguments ending in `.scnc` are cluster files (rack composition, link,
+// GTM and tier sections); everything else is a builtin name or a platform
+// file (hardware plus optional GTM and tier sections). Every command reads
+// all sections a file carries. `diff` requires both sides to be the same
+// file kind.
 //
 // `dump` emits the canonical form: dump(parse(dump(x))) == dump(x), which is
 // what the round-trip golden test in CI relies on.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 
-#include <sstream>
-
 #include "cluster/spec.hpp"
-#include "gtm/spec.hpp"
-#include "spec/spec.hpp"
-#include "tier/spec.hpp"
 
 namespace {
 
@@ -60,8 +56,9 @@ int main(int argc, char** argv) {
     if (argc != 3 && argc != 4) return usage(argv[0]);
     try {
       const std::string arg = argv[2];
-      const auto text = is_cluster_path(arg) ? cluster::dump_cluster(cluster::load_cluster(arg))
-                                             : spec::dump(spec::resolve(arg));
+      const auto text = is_cluster_path(arg)
+                            ? cluster::dump_cluster(cluster::load_cluster(arg))
+                            : cluster::dump_platform_file(cluster::load_platform_file(arg));
       if (argc == 4) {
         std::ofstream out(argv[3]);
         if (!out) {
@@ -92,7 +89,8 @@ int main(int argc, char** argv) {
       const auto lines = a_cluster
                              ? cluster::diff_cluster(cluster::load_cluster(argv[2]),
                                                      cluster::load_cluster(argv[3]))
-                             : spec::diff(spec::resolve(argv[2]), spec::resolve(argv[3]));
+                             : cluster::diff_platform_file(cluster::load_platform_file(argv[2]),
+                                                           cluster::load_platform_file(argv[3]));
       for (const auto& line : lines) std::printf("%s\n", line.c_str());
       return lines.empty() ? 0 : 1;
     } catch (const spec::Error& e) {
@@ -110,18 +108,8 @@ int main(int argc, char** argv) {
           const auto cs = cluster::load_cluster(argv[i]);
           std::printf("%s: OK (%d servers)\n", argv[i], static_cast<int>(cs.servers.size()));
         } else {
-          const auto p = spec::resolve(argv[i]);
-          // spec::parse only skims the [gtm]/[arrivals]/[tier] sections; for
-          // file arguments, run their own parsers too so a malformed policy
-          // or tiering key fails validation here instead of at bench time.
-          std::ifstream file(argv[i]);
-          if (file) {
-            std::ostringstream text;
-            text << file.rdbuf();
-            (void)scn::gtm::parse_gtm(text.str(), argv[i]);
-            (void)scn::tier::parse_tier(text.str(), argv[i]);
-          }
-          std::printf("%s: OK (%s)\n", argv[i], p.name.c_str());
+          const auto file = cluster::load_platform_file(argv[i]);
+          std::printf("%s: OK (%s)\n", argv[i], file.platform.name.c_str());
         }
       } catch (const spec::Error& e) {
         std::printf("%s: FAIL\n  %s\n", argv[i], e.what());
