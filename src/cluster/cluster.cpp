@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "cnet/telemetry.hpp"
 #include "exec/sweep.hpp"
 #include "stats/fairness.hpp"
 #include "topo/platform.hpp"
@@ -305,11 +304,10 @@ void ClusterSim::sample_epoch() {
     Instance& inst = *owned;
     inst.snap_outstanding = inst.server->outstanding_requests();
     if (!gmi) continue;
-    const sim::Tick now = inst.sim.now();
     double bytes = 0.0;
     for (int ccd = 0; ccd < inst.platform->ccd_count(); ++ccd) {
-      bytes += cnet::link_stats_one(inst.platform->gmi_up(ccd), now).bytes_total;
-      bytes += cnet::link_stats_one(inst.platform->gmi_down(ccd), now).bytes_total;
+      bytes += inst.platform->gmi_up(ccd).bytes_total();
+      bytes += inst.platform->gmi_down(ccd).bytes_total();
     }
     inst.gmi_delta = bytes - inst.gmi_last_bytes;
     inst.gmi_last_bytes = bytes;
@@ -319,11 +317,10 @@ void ClusterSim::sample_epoch() {
 void ClusterSim::sample_gmi_baseline() {
   for (auto& owned : instances_) {
     Instance& inst = *owned;
-    const sim::Tick now = inst.sim.now();
     double bytes = 0.0;
     for (int ccd = 0; ccd < inst.platform->ccd_count(); ++ccd) {
-      bytes += cnet::link_stats_one(inst.platform->gmi_up(ccd), now).bytes_total;
-      bytes += cnet::link_stats_one(inst.platform->gmi_down(ccd), now).bytes_total;
+      bytes += inst.platform->gmi_up(ccd).bytes_total();
+      bytes += inst.platform->gmi_down(ccd).bytes_total();
     }
     inst.gmi_last_bytes = bytes;
   }

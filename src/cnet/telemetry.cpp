@@ -25,8 +25,6 @@ LinkStats snapshot(fabric::Channel* ch, sim::Tick now) {
 
 }  // namespace
 
-LinkStats link_stats_one(fabric::Channel& channel, sim::Tick now) { return snapshot(&channel, now); }
-
 std::vector<LinkStats> link_stats(topo::Platform& platform) {
   const sim::Tick now = platform.simulator().now();
   std::vector<LinkStats> out;

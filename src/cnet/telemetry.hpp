@@ -36,10 +36,6 @@ struct PoolStats {
 /// Snapshot every channel on the platform at the current simulation time.
 [[nodiscard]] std::vector<LinkStats> link_stats(topo::Platform& platform);
 
-/// Snapshot one channel. Placement policies poll just the segments they
-/// steer around (e.g. the per-CCD GMIs) instead of sweeping the platform.
-[[nodiscard]] LinkStats link_stats_one(fabric::Channel& channel, sim::Tick now);
-
 /// Snapshot every traffic-control pool.
 [[nodiscard]] std::vector<PoolStats> pool_stats(topo::Platform& platform);
 

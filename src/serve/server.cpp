@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "cnet/telemetry.hpp"
 #include "fabric/runner.hpp"
 #include "fabric/token_chain.hpp"
 #include "model/analytic.hpp"
@@ -568,9 +567,8 @@ void ServerSim::telemetry_tick() {
   const auto ccxs = static_cast<std::size_t>(platform_->ccx_per_ccd());
   for (std::size_t c = 0; c < pred_ns_.size(); ++c) {
     const int ccd = static_cast<int>(c);
-    const auto up = cnet::link_stats_one(platform_->gmi_up(ccd), now);
-    const auto down = cnet::link_stats_one(platform_->gmi_down(ccd), now);
-    const double bytes = up.bytes_total + down.bytes_total;
+    const double bytes =
+        platform_->gmi_up(ccd).bytes_total() + platform_->gmi_down(ccd).bytes_total();
     const double gbps = (bytes - last_gmi_bytes_[c]) / epoch_ns;
     last_gmi_bytes_[c] = bytes;
     pred_ns_[c] = model::loaded_latency_ns(workers_[c * ccxs].dram_near,

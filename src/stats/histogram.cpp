@@ -7,8 +7,6 @@
 
 namespace scn::stats {
 
-Histogram::Histogram() : buckets_(static_cast<std::size_t>(kExponents) * kSubBucketCount, 0) {}
-
 std::size_t Histogram::bucket_index(std::uint64_t v) noexcept {
   if (v < static_cast<std::uint64_t>(kSubBucketCount)) return static_cast<std::size_t>(v);
   // Row r >= 1 holds values whose most-significant bit is at position
@@ -28,13 +26,22 @@ std::int64_t Histogram::bucket_upper_bound(std::size_t idx) noexcept {
   return static_cast<std::int64_t>(((static_cast<std::uint64_t>(sub) + 1) << row) - 1);
 }
 
+void Histogram::grow_to(std::size_t idx) {
+  const std::size_t rows = idx / kSubBucketCount + 1;
+  const std::size_t size = rows * kSubBucketCount;
+  // reserve() first so the vector holds exactly the rows in use rather than
+  // the geometric capacity resize() alone would pick.
+  buckets_.reserve(size);
+  buckets_.resize(size, 0);
+}
+
 void Histogram::record(std::int64_t value) noexcept { record_n(value, 1); }
 
 void Histogram::record_n(std::int64_t value, std::uint64_t count) noexcept {
   if (count == 0) return;
   const std::uint64_t v = value < 0 ? 0ULL : static_cast<std::uint64_t>(value);
-  std::size_t idx = bucket_index(v);
-  if (idx >= buckets_.size()) idx = buckets_.size() - 1;
+  const std::size_t idx = bucket_index(v);
+  if (idx >= buckets_.size()) grow_to(idx);
   buckets_[idx] += count;
   if (count_ == 0) {
     min_ = static_cast<std::int64_t>(v);
@@ -66,12 +73,15 @@ double Histogram::stddev() const noexcept {
 
 std::int64_t Histogram::quantile(double q) const noexcept {
   if (count_ == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
+  // std::clamp passes NaN through, and a NaN target would be cast to an
+  // integer below.
+  q = std::isnan(q) ? 0.0 : std::clamp(q, 0.0, 1.0);
   if (q >= 1.0) return max_;
   const auto target =
       std::max<std::uint64_t>(1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count_))));
+  // Every bucket below min_'s holds zero, so the scan starts at min_'s.
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+  for (std::size_t i = bucket_index(static_cast<std::uint64_t>(min_)); i < buckets_.size(); ++i) {
     seen += buckets_[i];
     if (seen >= target && buckets_[i] > 0) {
       return std::min(bucket_upper_bound(i), max_);
@@ -82,7 +92,8 @@ std::int64_t Histogram::quantile(double q) const noexcept {
 
 void Histogram::merge(const Histogram& other) noexcept {
   if (other.count_ == 0) return;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+  if (other.buckets_.size() > buckets_.size()) grow_to(other.buckets_.size() - 1);
+  for (std::size_t i = 0; i < other.buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
   if (count_ == 0) {
     min_ = other.min_;
     max_ = other.max_;
@@ -99,10 +110,16 @@ void Histogram::merge(const Histogram& other) noexcept {
 }
 
 std::uint64_t Histogram::merge_scaled(const Histogram& other, double factor) noexcept {
-  if (other.count_ == 0 || factor <= 0.0) return 0;
+  // `factor > 0.0` is false for NaN; the upper bound keeps every scaled
+  // bucket (at most factor * count, rounded) inside the uint64 it is cast to.
+  if (other.count_ == 0 || !(factor > 0.0) ||
+      !(factor * static_cast<double>(other.count_) < 0x1p64)) {
+    return 0;
+  }
+  if (other.buckets_.size() > buckets_.size()) grow_to(other.buckets_.size() - 1);
   std::uint64_t added = 0;
   double carry = 0.0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+  for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
     if (other.buckets_[i] == 0) continue;
     const double scaled = static_cast<double>(other.buckets_[i]) * factor + carry;
     const double whole = std::floor(scaled + 0.5);
@@ -134,7 +151,7 @@ std::uint64_t Histogram::merge_scaled(const Histogram& other, double factor) noe
 }
 
 void Histogram::reset() noexcept {
-  std::fill(buckets_.begin(), buckets_.end(), 0ULL);
+  buckets_.clear();
   count_ = 0;
   min_ = max_ = 0;
   mean_ = m2_ = 0.0;

@@ -4,6 +4,12 @@
 // quantiles is plenty. Buckets are organized as (exponent, mantissa-slice)
 // pairs: values up to 2^kSubBucketBits are exact, beyond that relative error
 // is bounded by 2 / 2^kSubBucketBits (~1.6%).
+//
+// Bucket rows are held only up to the highest row recorded so far: a
+// histogram that never records allocates nothing, and one whose samples stay
+// under 100 us (picosecond ticks, < 2^27) holds 21 of the 57 rows that
+// non-negative int64 values span. Rows are appended whole, once per new
+// highest row, never per sample.
 #pragma once
 
 #include <cstdint>
@@ -14,8 +20,6 @@ namespace scn::stats {
 
 class Histogram {
  public:
-  Histogram();
-
   /// Record one sample (values < 0 clamp to 0).
   void record(std::int64_t value) noexcept;
   /// Record `count` identical samples.
@@ -28,8 +32,8 @@ class Histogram {
   [[nodiscard]] double mean() const noexcept;
   [[nodiscard]] double stddev() const noexcept;
 
-  /// Quantile in [0,1]; returns an upper bound of the bucket containing the
-  /// q-th sample. quantile(1.0) == max().
+  /// Quantile in [0,1] (NaN reads as 0); returns an upper bound of the bucket
+  /// containing the q-th sample. quantile(1.0) == max().
   [[nodiscard]] std::int64_t quantile(double q) const noexcept;
 
   [[nodiscard]] std::int64_t p50() const noexcept { return quantile(0.50); }
@@ -46,10 +50,18 @@ class Histogram {
   /// analytically-advanced interval with the same *shape*. Moments fold in
   /// via Chan's batch update using `other`'s exact mean/M2 (scaled), so
   /// mean()/stddev() stay sample-exact; quantiles inherit the usual bucket
-  /// granularity. Returns the number of samples added.
+  /// granularity. Returns the number of samples added. A factor that is not
+  /// positive, is NaN, or would scale the count past 2^64 (inf included) adds
+  /// nothing.
   std::uint64_t merge_scaled(const Histogram& other, double factor) noexcept;
 
+  /// Clears every sample. The rows' memory is kept for reuse, but
+  /// bucket_count() reads 0 again until the next record.
   void reset() noexcept;
+
+  /// Buckets currently held (a whole number of rows): the histogram's
+  /// footprint, not a statistic.
+  [[nodiscard]] std::size_t bucket_count() const noexcept { return buckets_.size(); }
 
   /// One-line human-readable summary (for telemetry export).
   [[nodiscard]] std::string summary_string(double unit_scale = 1.0,
@@ -58,12 +70,13 @@ class Histogram {
  private:
   static constexpr int kSubBucketBits = 7;  // 128 sub-buckets per exponent
   static constexpr int kSubBucketCount = 1 << kSubBucketBits;
-  static constexpr int kExponents = 64 - kSubBucketBits + 1;
 
   [[nodiscard]] static std::size_t bucket_index(std::uint64_t v) noexcept;
   [[nodiscard]] static std::int64_t bucket_upper_bound(std::size_t idx) noexcept;
+  /// Appends zeroed rows so that bucket `idx` is held.
+  void grow_to(std::size_t idx);
 
-  std::vector<std::uint64_t> buckets_;
+  std::vector<std::uint64_t> buckets_;  // rows 0..highest recorded, row-major
   std::uint64_t count_ = 0;
   std::int64_t min_ = 0;
   std::int64_t max_ = 0;

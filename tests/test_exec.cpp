@@ -1,7 +1,7 @@
 // scn::exec: thread pool + ParallelSweep driver, the determinism guarantee
 // (parallel sweeps are bit-identical to serial), and regression tests for the
 // telemetry accounting fixes that rode along (channel utilization clamping,
-// loadsweep offered-load reporting, Welford histogram moments).
+// loadsweep offered-load reporting).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,7 +20,6 @@
 #include "measure/loadsweep.hpp"
 #include "measure/partition.hpp"
 #include "measure/scenario.hpp"
-#include "stats/histogram.hpp"
 #include "topo/params.hpp"
 
 namespace scn {
@@ -276,53 +275,6 @@ TEST(LoadSweep, RequestedRateMatchesConfiguredRate) {
     EXPECT_LE(pts[i].requested_gbps, cap * static_cast<double>(sites.size()) + 1e-9);
     if (i > 0) EXPECT_GE(pts[i].requested_gbps, pts[i - 1].requested_gbps);
   }
-}
-
-// ---- regression: stddev on large-magnitude samples ---------------------------
-
-TEST(HistogramMoments, StddevStableAtTickMagnitude) {
-  // Two samples 2 apart at ~1e9 (nanosecond ticks): population stddev is
-  // exactly 1. The naive E[x^2]-E[x]^2 formula cancels catastrophically at
-  // this magnitude (absolute error of the squared sums is ~hundreds).
-  stats::Histogram h;
-  for (int i = 0; i < 1000; ++i) {
-    h.record(1'000'000'000);
-    h.record(1'000'000'002);
-  }
-  EXPECT_DOUBLE_EQ(h.mean(), 1'000'000'001.0);
-  EXPECT_NEAR(h.stddev(), 1.0, 1e-6);
-}
-
-TEST(HistogramMoments, MergeMatchesSingleAccumulation) {
-  stats::Histogram all;
-  stats::Histogram left;
-  stats::Histogram right;
-  for (int i = 0; i < 500; ++i) {
-    const std::int64_t a = 2'000'000'000 + i;
-    const std::int64_t b = 2'000'000'000 - i;
-    all.record(a);
-    all.record(b);
-    left.record(a);
-    right.record(b);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-6);
-  EXPECT_NEAR(left.stddev(), all.stddev(), 1e-6);
-}
-
-TEST(HistogramMoments, RecordNMatchesRepeatedRecord) {
-  stats::Histogram weighted;
-  stats::Histogram repeated;
-  weighted.record_n(3'000'000'000, 1000);
-  weighted.record_n(3'000'000'010, 1000);
-  for (int i = 0; i < 1000; ++i) {
-    repeated.record(3'000'000'000);
-    repeated.record(3'000'000'010);
-  }
-  EXPECT_NEAR(weighted.mean(), repeated.mean(), 1e-6);
-  EXPECT_NEAR(weighted.stddev(), repeated.stddev(), 1e-6);
-  EXPECT_NEAR(weighted.stddev(), 5.0, 1e-6);
 }
 
 }  // namespace

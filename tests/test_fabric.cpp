@@ -11,6 +11,8 @@
 #include "fabric/token_chain.hpp"
 #include "fabric/token_pool.hpp"
 #include "sim/simulator.hpp"
+#include "topo/params.hpp"
+#include "topo/platform.hpp"
 
 namespace scn::fabric {
 namespace {
@@ -323,6 +325,22 @@ TEST(Runner, ThroughputBoundedByBottleneck) {
   const Tick end = s.run();
   EXPECT_EQ(done, 100);
   EXPECT_GE(sim::to_ns(end), 100 * 64.0 / 32.0);
+}
+
+TEST(Telemetry, FreshPlatformHoldsNoHistogramBuckets) {
+  // Every channel keeps a queue-delay histogram and every pool a wait
+  // histogram; a platform that has carried no traffic pays for none of their
+  // buckets, however many links it has.
+  sim::Simulator s;
+  topo::Platform platform(s, topo::epyc9634());
+  const auto channels = platform.all_channels();
+  const auto pools = platform.all_pools();
+  ASSERT_FALSE(channels.empty());
+  ASSERT_FALSE(pools.empty());
+  std::size_t buckets = 0;
+  for (const auto* ch : channels) buckets += ch->queue_delay_histogram().bucket_count();
+  for (const auto* pool : pools) buckets += pool->wait_histogram().bucket_count();
+  EXPECT_EQ(buckets, 0u);
 }
 
 }  // namespace

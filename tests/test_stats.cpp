@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -179,6 +182,317 @@ TEST_P(HistogramAccuracy, SingleValueQuantileWithinBound) {
 INSTANTIATE_TEST_SUITE_P(Magnitudes, HistogramAccuracy,
                          ::testing::Values(1, 127, 128, 129, 1000, 123456, 1234567, 87654321,
                                            1234567890123LL));
+
+TEST(Histogram, QuantileOfNanReadsAsZero) {
+  Histogram h;
+  h.record(7);
+  h.record(900);
+  EXPECT_EQ(h.quantile(std::numeric_limits<double>::quiet_NaN()), h.quantile(0.0));
+  EXPECT_EQ(h.quantile(std::numeric_limits<double>::quiet_NaN()), 7);
+}
+
+TEST(Histogram, MergeScaledNonFiniteOrOverflowingFactorIsNoop) {
+  Histogram sample;
+  sample.record(10);
+  Histogram out;
+  out.record(3);
+  EXPECT_EQ(out.merge_scaled(sample, std::numeric_limits<double>::infinity()), 0u);
+  EXPECT_EQ(out.merge_scaled(sample, -std::numeric_limits<double>::infinity()), 0u);
+  EXPECT_EQ(out.merge_scaled(sample, std::numeric_limits<double>::quiet_NaN()), 0u);
+  // Finite, but the scaled count would not fit in 64 bits.
+  EXPECT_EQ(out.merge_scaled(sample, 1e300), 0u);
+  EXPECT_EQ(out.count(), 1u);
+  EXPECT_EQ(out.max(), 3);
+  EXPECT_DOUBLE_EQ(out.mean(), 3.0);
+}
+
+// ---- footprint: rows are held only up to the highest recorded row -----------
+
+TEST(HistogramFootprint, DefaultHoldsNoBuckets) {
+  Histogram h;
+  EXPECT_EQ(h.bucket_count(), 0u);
+  EXPECT_EQ(Histogram{}.bucket_count(), 0u);
+}
+
+TEST(HistogramFootprint, SmallValuesHoldOneRow) {
+  Histogram h;
+  for (int v = 0; v < 128; ++v) h.record(v);
+  h.record(-3);
+  EXPECT_EQ(h.bucket_count(), 128u);
+}
+
+TEST(HistogramFootprint, GrowsToHighestRowAndResetReleasesThem) {
+  Histogram h;
+  h.record(1'000'000);  // msb 19: row 13
+  EXPECT_EQ(h.bucket_count(), 14u * 128u);
+  h.record(5);  // a lower row adds nothing
+  EXPECT_EQ(h.bucket_count(), 14u * 128u);
+  Histogram big;
+  big.record(std::numeric_limits<std::int64_t>::max());  // msb 62: row 56
+  h.merge(big);
+  EXPECT_EQ(h.bucket_count(), 57u * 128u);
+  h.reset();
+  EXPECT_EQ(h.bucket_count(), 0u);
+}
+
+// ---- equivalence with the dense layout ---------------------------------------
+
+// The layout Histogram had before rows were allocated on demand: all 58 rows
+// up front, every scan over all of them. Kept here only as the oracle for the
+// property test below.
+class DenseHistogram {
+ public:
+  DenseHistogram() : buckets_(58 * 128, 0) {}
+
+  void record_n(std::int64_t value, std::uint64_t count) {
+    if (count == 0) return;
+    const std::uint64_t v = value < 0 ? 0ULL : static_cast<std::uint64_t>(value);
+    buckets_[index(v)] += count;
+    if (count_ == 0) {
+      min_ = max_ = static_cast<std::int64_t>(v);
+    } else {
+      min_ = std::min<std::int64_t>(min_, static_cast<std::int64_t>(v));
+      max_ = std::max<std::int64_t>(max_, static_cast<std::int64_t>(v));
+    }
+    const double n1 = static_cast<double>(count_);
+    const double n2 = static_cast<double>(count);
+    count_ += count;
+    const double delta = static_cast<double>(v) - mean_;
+    mean_ += delta * n2 / (n1 + n2);
+    m2_ += delta * delta * n1 * n2 / (n1 + n2);
+  }
+
+  [[nodiscard]] std::uint64_t count() const { return count_; }
+  [[nodiscard]] std::int64_t min() const { return count_ == 0 ? 0 : min_; }
+  [[nodiscard]] std::int64_t max() const { return max_; }
+  [[nodiscard]] double mean() const { return count_ == 0 ? 0.0 : mean_; }
+  [[nodiscard]] double stddev() const {
+    if (count_ < 2) return 0.0;
+    const double var = m2_ / static_cast<double>(count_);
+    return var > 0.0 ? std::sqrt(var) : 0.0;
+  }
+
+  [[nodiscard]] std::int64_t quantile(double q) const {
+    if (count_ == 0) return 0;
+    q = std::clamp(q, 0.0, 1.0);
+    if (q >= 1.0) return max_;
+    const auto target = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count_))));
+    std::uint64_t seen = 0;
+    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+      seen += buckets_[i];
+      if (seen >= target && buckets_[i] > 0) return std::min(upper_bound(i), max_);
+    }
+    return max_;
+  }
+
+  void merge(const DenseHistogram& other) {
+    if (other.count_ == 0) return;
+    for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+    fold_range(other);
+    const double n1 = static_cast<double>(count_);
+    const double n2 = static_cast<double>(other.count_);
+    const double delta = other.mean_ - mean_;
+    mean_ += delta * n2 / (n1 + n2);
+    m2_ += other.m2_ + delta * delta * n1 * n2 / (n1 + n2);
+    count_ += other.count_;
+  }
+
+  std::uint64_t merge_scaled(const DenseHistogram& other, double factor) {
+    if (other.count_ == 0 || factor <= 0.0) return 0;
+    std::uint64_t added = 0;
+    double carry = 0.0;
+    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+      if (other.buckets_[i] == 0) continue;
+      const double scaled = static_cast<double>(other.buckets_[i]) * factor + carry;
+      const double whole = std::floor(scaled + 0.5);
+      carry = scaled - whole;
+      if (whole <= 0.0) continue;
+      const auto n = static_cast<std::uint64_t>(whole);
+      buckets_[i] += n;
+      added += n;
+    }
+    if (added == 0) return 0;
+    fold_range(other);
+    const double n1 = static_cast<double>(count_);
+    const double n2 = static_cast<double>(added);
+    const double delta = other.mean_ - mean_;
+    mean_ += delta * n2 / (n1 + n2);
+    m2_ += other.m2_ * (n2 / static_cast<double>(other.count_)) +
+           delta * delta * n1 * n2 / (n1 + n2);
+    count_ += added;
+    return added;
+  }
+
+  void reset() {
+    std::fill(buckets_.begin(), buckets_.end(), 0ULL);
+    count_ = 0;
+    min_ = max_ = 0;
+    mean_ = m2_ = 0.0;
+  }
+
+ private:
+  static std::size_t index(std::uint64_t v) {
+    if (v < 128) return static_cast<std::size_t>(v);
+    const int row = (63 - std::countl_zero(v)) - 6;
+    return static_cast<std::size_t>(row) * 128 + static_cast<std::size_t>((v >> row) & 127);
+  }
+  static std::int64_t upper_bound(std::size_t idx) {
+    const auto row = idx / 128;
+    const auto sub = idx % 128;
+    if (row == 0) return static_cast<std::int64_t>(sub);
+    return static_cast<std::int64_t>(((static_cast<std::uint64_t>(sub) + 1) << row) - 1);
+  }
+  void fold_range(const DenseHistogram& other) {
+    if (count_ == 0) {
+      min_ = other.min_;
+      max_ = other.max_;
+    } else {
+      min_ = std::min(min_, other.min_);
+      max_ = std::max(max_, other.max_);
+    }
+  }
+
+  std::vector<std::uint64_t> buckets_;
+  std::uint64_t count_ = 0;
+  std::int64_t min_ = 0;
+  std::int64_t max_ = 0;
+  double mean_ = 0.0;
+  double m2_ = 0.0;
+};
+
+// A value of random magnitude: anywhere from 0 to INT64_MAX, negatives too, so
+// every row (and growth from every row to every higher one) gets exercised.
+std::int64_t random_value(sim::Rng& rng) {
+  switch (rng.below(8)) {
+    case 0: return -static_cast<std::int64_t>(rng.below(1000)) - 1;
+    case 1: return std::numeric_limits<std::int64_t>::max();
+    case 2: return static_cast<std::int64_t>(rng.below(128));
+    default: {
+      const auto bits = static_cast<int>(rng.below(63));  // msb 0..62
+      return static_cast<std::int64_t>((rng() >> (63 - bits)) | (1ULL << bits));
+    }
+  }
+}
+
+void expect_same(const Histogram& h, const DenseHistogram& d, int step) {
+  SCOPED_TRACE(step);
+  ASSERT_EQ(h.count(), d.count());
+  EXPECT_EQ(h.min(), d.min());
+  EXPECT_EQ(h.max(), d.max());
+  // Bit-identical moments, not merely close: the Welford order is unchanged.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(h.mean()), std::bit_cast<std::uint64_t>(d.mean()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(h.stddev()), std::bit_cast<std::uint64_t>(d.stddev()));
+  for (double q : {0.0, 1e-9, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(h.quantile(q), d.quantile(q)) << "q=" << q;
+  }
+}
+
+TEST(HistogramEquivalence, MatchesDenseLayoutUnderRandomOps) {
+  constexpr std::size_t kSlots = 6;
+  std::vector<Histogram> sparse(kSlots);
+  std::vector<DenseHistogram> dense(kSlots);
+  sim::Rng rng(0x5eed);
+  for (int step = 0; step < 4000; ++step) {
+    const std::size_t a = rng.below(kSlots);
+    const std::size_t b = rng.below(kSlots);
+    // Merges compound counts; keep them far below 2^64 so that a scaled
+    // bucket always fits the integer merge_scaled casts it to.
+    for (const std::size_t slot : {a, b}) {
+      if (sparse[slot].count() > 1'000'000'000'000ULL) {
+        sparse[slot].reset();
+        dense[slot].reset();
+      }
+    }
+    switch (rng.below(10)) {
+      case 0:
+      case 1:
+      case 2: {
+        const auto v = random_value(rng);
+        sparse[a].record(v);
+        dense[a].record_n(v, 1);
+        break;
+      }
+      case 3:
+      case 4: {
+        const auto v = random_value(rng);
+        const std::uint64_t n = rng.bernoulli(0.1) ? rng.below(1'000'000) : 1 + rng.below(50);
+        sparse[a].record_n(v, n);
+        dense[a].record_n(v, n);
+        break;
+      }
+      case 5:
+      case 6:
+        sparse[a].merge(sparse[b]);
+        dense[a].merge(dense[b]);
+        break;
+      case 7:
+      case 8: {
+        // Mostly fractional factors so that the rounding carry matters; now
+        // and then a zero or negative one.
+        const double factor = rng.bernoulli(0.1) ? -rng.uniform(0.0, 1.0) : rng.uniform(0.0, 4.0);
+        EXPECT_EQ(sparse[a].merge_scaled(sparse[b], factor), dense[a].merge_scaled(dense[b], factor));
+        break;
+      }
+      default:
+        if (rng.bernoulli(0.3)) {
+          sparse[a].reset();
+          dense[a].reset();
+        }
+        break;
+    }
+    expect_same(sparse[a], dense[a], step);
+    if (HasFatalFailure()) return;
+  }
+  for (std::size_t i = 0; i < kSlots; ++i) expect_same(sparse[i], dense[i], -1);
+}
+
+// ---- moments: stddev on large-magnitude samples ------------------------------
+
+TEST(HistogramMoments, StddevStableAtTickMagnitude) {
+  // Two samples 2 apart at ~1e9 (nanosecond ticks): population stddev is
+  // exactly 1. The naive E[x^2]-E[x]^2 formula cancels catastrophically at
+  // this magnitude (absolute error of the squared sums is ~hundreds).
+  Histogram h;
+  for (int i = 0; i < 1000; ++i) {
+    h.record(1'000'000'000);
+    h.record(1'000'000'002);
+  }
+  EXPECT_DOUBLE_EQ(h.mean(), 1'000'000'001.0);
+  EXPECT_NEAR(h.stddev(), 1.0, 1e-6);
+}
+
+TEST(HistogramMoments, MergeMatchesSingleAccumulation) {
+  Histogram all;
+  Histogram left;
+  Histogram right;
+  for (int i = 0; i < 500; ++i) {
+    const std::int64_t a = 2'000'000'000 + i;
+    const std::int64_t b = 2'000'000'000 - i;
+    all.record(a);
+    all.record(b);
+    left.record(a);
+    right.record(b);
+  }
+  left.merge(right);
+  EXPECT_EQ(left.count(), all.count());
+  EXPECT_NEAR(left.mean(), all.mean(), 1e-6);
+  EXPECT_NEAR(left.stddev(), all.stddev(), 1e-6);
+}
+
+TEST(HistogramMoments, RecordNMatchesRepeatedRecord) {
+  Histogram weighted;
+  Histogram repeated;
+  weighted.record_n(3'000'000'000, 1000);
+  weighted.record_n(3'000'000'010, 1000);
+  for (int i = 0; i < 1000; ++i) {
+    repeated.record(3'000'000'000);
+    repeated.record(3'000'000'010);
+  }
+  EXPECT_NEAR(weighted.mean(), repeated.mean(), 1e-6);
+  EXPECT_NEAR(weighted.stddev(), repeated.stddev(), 1e-6);
+  EXPECT_NEAR(weighted.stddev(), 5.0, 1e-6);
+}
 
 TEST(Summary, WelfordMatchesNaive) {
   Summary s;
