@@ -356,7 +356,7 @@ struct QueueBimodalHarness {
       }
     }
     *secs = seconds_since(t0);
-    *checksum = acc;  // xor over times: order-independent, so backend-agnostic
+    *checksum = acc;  // xor over times: order-independent
   }
 };
 
@@ -759,7 +759,6 @@ int run_tracked_harness(const std::string& json_path, int repeats, bool quick) {
                  static_cast<std::int64_t>(all[i]->checksum), i + 1 < kCount ? "," : "");
   }
   std::fprintf(f, "  },\n  \"queue\": {\n");
-  std::fprintf(f, "    \"backend\": \"%s\",\n", sim::to_string(qstats.backend));
   std::fprintf(f, "    \"peak_pending\": %" PRIu64 ",\n", qstats.peak_pending);
   std::fprintf(f, "    \"ready_peak\": %" PRIu64 ",\n", qstats.ready_peak);
   std::fprintf(f, "    \"cascaded_nodes\": %" PRIu64 ",\n", qstats.cascaded_nodes);

@@ -1,8 +1,5 @@
 #include "measure/loadsweep.hpp"
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "exec/sweep.hpp"
@@ -60,24 +57,9 @@ LoadPoint run_load_point(const topo::PlatformParams& params, SweepLink link, fab
   if (fastforward) {
     forwarder.watch(group);
   }
-  const auto wall0 = std::chrono::steady_clock::now();
   group.start_all();
   if (fastforward) forwarder.arm();
   e.simulator.run_until(sim::from_us(kWarmupUs + kWindowUs + 15.0));
-  if (std::getenv("SCN_FF_DEBUG") != nullptr) {
-    const auto& st = forwarder.stats();
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - wall0)
-            .count();
-    std::fprintf(stderr,
-                 "[ff] %s %s pt %d/%d: wall_ms=%.1f jumps=%llu skipped_us=%.1f samples=%llu "
-                 "rejected=%llu aborted=%llu\n",
-                 to_string(link), to_string(op), i, points, wall_ms,
-                 static_cast<unsigned long long>(st.jumps), sim::to_ns(st.skipped_ticks) / 1000.0,
-                 static_cast<unsigned long long>(st.samples),
-                 static_cast<unsigned long long>(st.rejected),
-                 static_cast<unsigned long long>(st.aborted_drains));
-  }
 
   LoadPoint pt;
   pt.requested_gbps = requested;

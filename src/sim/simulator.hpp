@@ -1,4 +1,5 @@
-// Discrete-event simulator core.
+// Discrete-event simulator core: a clock plus the timing-wheel EventQueue
+// (event_queue.hpp), which delivers events in exact (time, seq) order.
 //
 // Single-threaded by design: the entire point of this substrate is exact
 // reproducibility of the paper's measurements, and the experiments are small
@@ -17,17 +18,12 @@ namespace scn::sim {
 
 class Simulator {
  public:
-  Simulator() = default;
-  /// Pin the scheduler backend (tests and cross-checks; experiments should
-  /// use the default so SCN_EVENT_QUEUE keeps working).
-  explicit Simulator(QueueBackend backend) noexcept : queue_(backend) {}
-
   /// Current simulation time.
   [[nodiscard]] Tick now() const noexcept { return now_; }
 
   /// Schedule `fn` to run `delay` ticks from now. A negative delay is a
   /// caller bug (asserts in debug builds); release builds clamp it to "now"
-  /// rather than silently corrupting the heap's time order — step() asserts
+  /// rather than silently corrupting the queue's time order — step() asserts
   /// `entry.time >= now_`, so an unclamped past event would also break the
   /// monotonic-clock invariant every component depends on.
   /// Templated so the capture is constructed directly in its queue slot
@@ -68,8 +64,8 @@ class Simulator {
   [[nodiscard]] std::uint64_t executed_count() const noexcept { return executed_; }
 
   /// Run until the event queue drains. Returns the final simulation time.
-  /// The whole drain runs inside the queue backend (one dispatch total);
-  /// in-order delivery is asserted per event in debug builds.
+  /// The whole drain runs inside one EventQueue::run_all call; in-order
+  /// delivery is asserted per event in debug builds.
   Tick run() {
     queue_.run_all(&now_, &executed_);
     return now_;
@@ -111,7 +107,7 @@ class Simulator {
   void reserve_events(std::size_t n) { queue_.reserve(n); }
 
   /// Expected inter-event gap in ticks; tunes the timing wheel's bucket
-  /// width (no-op on the heap backend).
+  /// width.
   void hint_event_gap(Tick gap) noexcept { queue_.set_gap_hint(gap); }
 
   [[nodiscard]] QueueStats queue_stats() const noexcept { return queue_.stats(); }

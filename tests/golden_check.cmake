@@ -4,18 +4,12 @@
 # be restructured freely — results must not depend on internals or on the
 # number of sweep workers.
 #
-# Invoke: cmake -DBENCH=<exe> -DGOLDEN=<file> [-DBACKEND=<heap|wheel>]
-#         ["-DEXTRA_ARGS=<args>"] -P golden_check.cmake
+# Invoke: cmake -DBENCH=<exe> -DGOLDEN=<file> ["-DEXTRA_ARGS=<args>"]
+#         -P golden_check.cmake
 #
-# BACKEND pins the event-queue implementation via SCN_EVENT_QUEUE, so the
-# same golden can be asserted under both schedulers — the strongest statement
-# of the equivalence contract: not "both orders are valid" but "the output is
-# byte-identical either way". EXTRA_ARGS appends flags to every run (e.g.
-# `--cluster <spec>` for the 16-box rack golden, or `--engine step` to assert
-# the per-epoch reference engine against the same bytes as the fused one).
-if(DEFINED BACKEND)
-  set(ENV{SCN_EVENT_QUEUE} "${BACKEND}")
-endif()
+# EXTRA_ARGS appends flags to every run (e.g. `--cluster <spec>` for the
+# 16-box rack golden, or `--engine step` to assert the per-epoch reference
+# engine against the same bytes as the fused one).
 separate_arguments(extra_list UNIX_COMMAND "${EXTRA_ARGS}")
 file(READ "${GOLDEN}" want)
 foreach(jobs 1 4)

@@ -42,7 +42,6 @@ foreach(metric
 endforeach()
 
 foreach(field
-        backend
         peak_pending
         ready_peak
         cascaded_nodes

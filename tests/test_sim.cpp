@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -186,15 +185,14 @@ TEST(Simulator, ResetRewindsSequenceNumbers) {
   EXPECT_EQ(replay, (std::vector<int>{0, 1, 2, 3}));
 }
 
-// The scheduler edge cases below run against both backends: the wheel is the
-// code under test, the heap pins the expected behaviour.
-class SchedulerEdgeCases : public ::testing::TestWithParam<QueueBackend> {};
+// Scheduler edge cases: the wheel structures (overflow list, bucket
+// boundaries, rebases) exercised through the public Simulator API.
 
 // Far-future events land beyond the wheel's top level (span 2^(shift+24)
 // ticks) and must park in the overflow list, then pop in exact order after a
 // rebase once the near-term events drain.
-TEST_P(SchedulerEdgeCases, FarFutureBeyondTopLevelPopsInOrder) {
-  Simulator s(GetParam());
+TEST(SchedulerEdgeCases, FarFutureBeyondTopLevelPopsInOrder) {
+  Simulator s;
   std::vector<Tick> fired;
   const Tick far = Tick{1} << 50;
   // Near event first: it anchors the wheel's cursor, so the far events are
@@ -206,20 +204,18 @@ TEST_P(SchedulerEdgeCases, FarFutureBeyondTopLevelPopsInOrder) {
   s.schedule_at(far + 1, [&] { fired.push_back(s.now()); });
   s.run();
   EXPECT_EQ(fired, (std::vector<Tick>{5, 17, far + 1, far + 3}));
-  if (GetParam() == QueueBackend::kWheel) {
-    // The far events must actually have exercised the overflow path.
-    const QueueStats st = s.queue_stats();
-    EXPECT_GE(st.rebases, 1u);
-    EXPECT_GE(st.overflow_peak, 2u);
-  }
+  // The far events must actually have exercised the overflow path.
+  const QueueStats st = s.queue_stats();
+  EXPECT_GE(st.rebases, 1u);
+  EXPECT_GE(st.overflow_peak, 2u);
 }
 
 // run_until with the deadline exactly on an event time / bucket boundary:
 // events AT the deadline fire, events one tick later do not. The gap hint
 // pins the wheel's bucket width so the deadline lands on a real boundary.
-TEST_P(SchedulerEdgeCases, RunUntilOnBucketBoundary) {
-  Simulator s(GetParam());
-  s.hint_event_gap(256);  // shift = 4 on the wheel: buckets 16 ticks wide
+TEST(SchedulerEdgeCases, RunUntilOnBucketBoundary) {
+  Simulator s;
+  s.hint_event_gap(256);  // shift = 4: buckets 16 ticks wide
   int fired = 0;
   s.schedule_at(32, [&] { ++fired; });  // exactly a bucket boundary
   s.schedule_at(33, [&] { ++fired; });
@@ -234,8 +230,8 @@ TEST_P(SchedulerEdgeCases, RunUntilOnBucketBoundary) {
 // clear()/reset() with events parked in overflow must destroy them cleanly
 // (their captures release, nothing leaks — the ASan job keeps this honest)
 // and leave the queue reusable.
-TEST_P(SchedulerEdgeCases, ClearWithOverflowParked) {
-  Simulator s(GetParam());
+TEST(SchedulerEdgeCases, ClearWithOverflowParked) {
+  Simulator s;
   auto marker = std::make_shared<int>(42);  // leak canary via use_count
   s.schedule_at(9, [] {});
   s.schedule_at(Tick{1} << 55, [marker] {});
@@ -252,8 +248,8 @@ TEST_P(SchedulerEdgeCases, ClearWithOverflowParked) {
 // Zero-delay self-rescheduling storm: time must not move, every generation
 // must run FIFO within the tick, and the storm must terminate when the
 // reschedule chain stops (no livelock, no starvation of the sibling event).
-TEST_P(SchedulerEdgeCases, ZeroDelayStormMakesProgress) {
-  Simulator s(GetParam());
+TEST(SchedulerEdgeCases, ZeroDelayStormMakesProgress) {
+  Simulator s;
   int generations = 0;
   bool sibling_ran = false;
   // Each generation reschedules itself at delay 0: the event fires at the
@@ -274,32 +270,23 @@ TEST_P(SchedulerEdgeCases, ZeroDelayStormMakesProgress) {
 }
 
 // The introspection counters exposed through queue_stats() must be coherent:
-// they describe mechanism cost and may differ per backend, but the pending
-// bookkeeping they report has backend-independent meaning.
-TEST_P(SchedulerEdgeCases, QueueStatsFieldsAreCoherent) {
-  Simulator s(GetParam());
+// they describe mechanism cost, but the pending bookkeeping they report has a
+// layout-independent meaning.
+TEST(SchedulerEdgeCases, QueueStatsFieldsAreCoherent) {
+  Simulator s;
   for (Tick t = 1; t <= 64; ++t) s.schedule_at(t * 3, [] {});
   const QueueStats st = s.queue_stats();
-  EXPECT_EQ(st.backend, GetParam());
   EXPECT_EQ(st.peak_pending, 64u);
-  if (GetParam() == QueueBackend::kWheel) {
-    EXPECT_GE(st.granularity_log2, 0);
-    EXPECT_LE(st.granularity_log2, 36);
-    // Every pending event is accounted for somewhere: ready run, a wheel
-    // level, or overflow.
-    std::uint64_t parked = 0;
-    for (const std::uint64_t occ : st.level_occupancy) parked += occ;
-    EXPECT_LE(parked, 64u);
-  }
+  EXPECT_GE(st.granularity_log2, 0);
+  EXPECT_LE(st.granularity_log2, 36);
+  // Every pending event is accounted for somewhere: ready run, a wheel
+  // level, or overflow.
+  std::uint64_t parked = 0;
+  for (const std::uint64_t occ : st.level_occupancy) parked += occ;
+  EXPECT_LE(parked, 64u);
   s.run();
   EXPECT_EQ(s.executed_count(), 64u);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothBackends, SchedulerEdgeCases,
-                         ::testing::Values(QueueBackend::kWheel, QueueBackend::kHeap),
-                         [](const ::testing::TestParamInfo<QueueBackend>& info) {
-                           return std::string(to_string(info.param));
-                         });
 
 TEST(Rng, DeterministicFromSeed) {
   Rng a(123);

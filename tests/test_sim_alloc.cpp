@@ -12,7 +12,6 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
-#include <string>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -223,12 +222,8 @@ TEST(SlabPool, ConstructorThrowReturnsSlotToFreeList) {
 // The tentpole claim, end to end: a steady-state event loop through the
 // public Simulator API performs zero heap allocations per event.
 
-// Both backends must hold the line: the wheel is the default, the heap is the
-// reference the wheel is proved against — neither may allocate per event.
-class EventLoopAllocation : public ::testing::TestWithParam<QueueBackend> {};
-
-TEST_P(EventLoopAllocation, SteadyStateIsAllocationFree) {
-  Simulator s(GetParam());
+TEST(EventLoopAllocation, SteadyStateIsAllocationFree) {
+  Simulator s;
   struct Chain {
     Simulator* simulator;
     std::uint64_t remaining;
@@ -239,7 +234,7 @@ TEST_P(EventLoopAllocation, SteadyStateIsAllocationFree) {
   };
   std::vector<Chain> chains;
   for (int i = 0; i < 8; ++i) chains.push_back(Chain{&s, 2000});
-  // Warm-up: sizes the slot pool and the backend's pending-set storage.
+  // Warm-up: sizes the slot pool and the queue's ready-run storage.
   for (auto& c : chains) c.step();
   s.run_until(from_ns(0.1));
   const std::size_t before = g_new_calls;
@@ -247,12 +242,6 @@ TEST_P(EventLoopAllocation, SteadyStateIsAllocationFree) {
   EXPECT_EQ(g_new_calls, before);
   EXPECT_GT(s.executed_count(), 10000u);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothBackends, EventLoopAllocation,
-                         ::testing::Values(QueueBackend::kWheel, QueueBackend::kHeap),
-                         [](const ::testing::TestParamInfo<QueueBackend>& info) {
-                           return std::string(to_string(info.param));
-                         });
 
 }  // namespace
 }  // namespace scn::sim
