@@ -1,11 +1,11 @@
-// Microbenchmarks of the library's hot primitives (google-benchmark), plus a
-// tracked events/sec + transactions/sec throughput harness that emits
+// Tracked throughput harness for the library's hot paths: events/sec,
+// transactions/sec and friends, printed as a table and optionally emitted as
 // machine-readable JSON so the simulator core's performance trajectory is
 // recorded PR over PR.
 //
 // Usage:
-//   bench_microperf [gbench flags]        # the google-benchmark suite
-//   bench_microperf --json out.json       # tracked harness only, writes JSON
+//   bench_microperf                       # run the harness, print the table
+//   bench_microperf --json out.json       # ... and write the JSON report
 //   bench_microperf --json out.json --repeat 7
 //
 // The tracked harness measures six hot paths end to end:
@@ -34,13 +34,10 @@
 // come from full-size runs. The JSON also carries a "queue" introspection
 // block (peak pending, cascades, rebases, bucket granularity) from the
 // event_loop workload, so mechanism cost is visible PR over PR.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -53,15 +50,11 @@
 #include "fabric/token_pool.hpp"
 #include "measure/experiment.hpp"
 #include "measure/loadsweep.hpp"
-#include "noc/network.hpp"
 #include "spec/spec.hpp"
-#include "noc/traffic.hpp"
 #include "serve/server.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
-#include "stats/countmin.hpp"
-#include "stats/histogram.hpp"
 #include "tier/tier.hpp"
 
 namespace {
@@ -69,117 +62,7 @@ namespace {
 using namespace scn;
 
 // ---------------------------------------------------------------------------
-// google-benchmark suite
-// ---------------------------------------------------------------------------
-
-void BM_EventQueuePushPop(benchmark::State& state) {
-  sim::EventQueue q;
-  sim::Rng rng(1);
-  const int batch = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    for (int i = 0; i < batch; ++i) {
-      q.push(static_cast<sim::Tick>(rng.below(1000000)), [] {});
-    }
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop().time);
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_EventQueuePushPop)->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_SimulatorEventChain(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator s;
-    int remaining = static_cast<int>(state.range(0));
-    std::function<void()> hop = [&] {
-      if (--remaining > 0) s.schedule(10, hop);
-    };
-    s.schedule(10, hop);
-    s.run();
-    benchmark::DoNotOptimize(s.now());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SimulatorEventChain)->Arg(10000);
-
-void BM_ChannelAdmit(benchmark::State& state) {
-  fabric::Channel ch("bench", 32.0, 0);
-  sim::Tick now = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ch.admit(now, 64.0));
-    now += 2000;  // keep the channel ~uncongested
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ChannelAdmit);
-
-void BM_TokenPoolCycle(benchmark::State& state) {
-  sim::Simulator s;
-  fabric::TokenPool pool("bench", 64);
-  for (auto _ : state) {
-    pool.acquire(s, [] {});
-    pool.release(s);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TokenPoolCycle);
-
-void BM_HistogramRecord(benchmark::State& state) {
-  stats::Histogram h;
-  sim::Rng rng(2);
-  for (auto _ : state) {
-    h.record(static_cast<std::int64_t>(rng.below(1000000)));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HistogramRecord);
-
-void BM_HistogramQuantile(benchmark::State& state) {
-  stats::Histogram h;
-  sim::Rng rng(3);
-  for (int i = 0; i < 100000; ++i) h.record(static_cast<std::int64_t>(rng.below(1000000)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(h.p999());
-  }
-}
-BENCHMARK(BM_HistogramQuantile);
-
-void BM_RngUniform(benchmark::State& state) {
-  sim::Rng rng(4);
-  for (auto _ : state) benchmark::DoNotOptimize(rng.uniform());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RngUniform);
-
-void BM_CountMinAdd(benchmark::State& state) {
-  auto sk = stats::CountMinSketch::for_error(0.01, 0.001);
-  sim::Rng rng(5);
-  for (auto _ : state) {
-    sk.add(rng.below(100000), 64);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CountMinAdd);
-
-void BM_NocCycle(benchmark::State& state) {
-  noc::NocConfig cfg;
-  cfg.width = 4;
-  cfg.height = 4;
-  noc::Network net(cfg);
-  sim::Rng rng(6);
-  for (auto _ : state) {
-    for (int n = 0; n < cfg.node_count(); ++n) {
-      if (rng.uniform() < 0.05) {
-        net.inject(n, noc::destination(noc::Pattern::kUniform, cfg, n, rng), net.cycle());
-      }
-    }
-    net.step();
-  }
-  state.SetItemsProcessed(state.iterations() * cfg.node_count());
-}
-BENCHMARK(BM_NocCycle);
-
-// ---------------------------------------------------------------------------
-// tracked throughput harness (--json)
+// tracked throughput harness
 // ---------------------------------------------------------------------------
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -717,15 +600,6 @@ int run_tracked_harness(const std::string& json_path, int repeats, bool quick) {
   TierHitRatioHarness::horizon_us = quick ? 32 : 512;
   measure<TierHitRatioHarness>(tier_hit, repeats);
 
-  // One untimed pass with introspection on: what the scheduler's bookkeeping
-  // did for the flagship workload (counters are mechanism cost, not ordering).
-  sim::QueueStats qstats{};
-  {
-    double secs = 0.0;
-    sim::Tick cks = 0;
-    EventLoopHarness::run(event_loop.units, &secs, &cks, &qstats);
-  }
-
   const Metric* all[] = {&event_loop,   &queue_churn,    &transactions,
                          &token_chain,  &queue_bimodal,  &serve_burst,
                          &cluster_path, &cluster_epochs, &gtm_overhead,
@@ -734,6 +608,16 @@ int run_tracked_harness(const std::string& json_path, int repeats, bool quick) {
   std::printf("%-28s %14s %12s\n", "metric", "per_sec", "units/run");
   for (const Metric* m : all) {
     std::printf("%-28s %14.0f %12" PRIu64 "\n", m->key, m->best_per_sec, m->units);
+  }
+  if (json_path.empty()) return 0;
+
+  // One untimed pass with introspection on: what the scheduler's bookkeeping
+  // did for the flagship workload (counters are mechanism cost, not ordering).
+  sim::QueueStats qstats{};
+  {
+    double secs = 0.0;
+    sim::Tick cks = 0;
+    EventLoopHarness::run(event_loop.units, &secs, &cks, &qstats);
   }
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -781,22 +665,12 @@ int main(int argc, char** argv) {
   std::string json_path;
   int repeats = 5;
   scn::bench::Options opt("bench_microperf", "micro-benchmarks for the simulator hot paths");
-  opt.value("--json", &json_path, "write the tracked-harness report to this path")
-      .value_int("--repeat", &repeats, "tracked-harness repetitions (default 5)")
-      .passthrough_unknown();  // everything else goes to the google-benchmark runner
+  opt.value("--json", &json_path, "also write the harness report to this path")
+      .value_int("--repeat", &repeats, "harness repetitions (default 5)");
   opt.parse(argc, argv);
   if (opt.has_platform()) {
     std::fprintf(stderr, "bench_microperf: --platform '%s' parsed OK but has no effect here\n",
                  opt.platform_arg().c_str());
   }
-  if (!json_path.empty()) {
-    return run_tracked_harness(json_path, repeats > 0 ? repeats : 1, opt.quick());
-  }
-  auto& passthrough = opt.passthrough();
-  int bench_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&bench_argc, passthrough.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, passthrough.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return run_tracked_harness(json_path, repeats > 0 ? repeats : 1, opt.quick());
 }

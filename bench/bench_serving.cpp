@@ -38,10 +38,8 @@ serve::SweepConfig base_sweep(const topo::PlatformParams& params, bool quick, in
                               const gtm::TrafficPolicy& policy) {
   serve::SweepConfig sc;
   sc.rates_per_us = rate_grid(params, quick);
-  sc.arrival = arrival.kind;
   sc.arrival_template = arrival;
   sc.gtm = policy;
-  sc.antagonist = true;
   sc.jobs = jobs;
   sc.seed = seed;
   if (quick) {

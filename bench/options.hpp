@@ -3,7 +3,7 @@
 // Replaces the ad-hoc parse_jobs/parse_flag scattered across main()s with
 // one parser that knows the three cross-cutting flags:
 //
-//   --jobs N                 sweep worker threads (SCN_JOBS also honoured)
+//   --jobs N                 sweep worker threads (0/default: all cores)
 //   --quick                  reduced golden-test configuration
 //   --platform <name|file>   a builtin (epyc7302/epyc9634) or a .scn spec
 //   --seed S                 base RNG seed (full u64) for binaries that take one
@@ -71,16 +71,7 @@ class Options {
     return *this;
   }
 
-  /// Collect unrecognized `--` flags into passthrough() instead of erroring
-  /// (bench_microperf forwards them to the google-benchmark runner).
-  Options& passthrough_unknown() {
-    passthrough_unknown_ = true;
-    return *this;
-  }
-
   void parse(int argc, char** argv) {
-    passthrough_.clear();
-    passthrough_.push_back(argv[0]);
     int requested_jobs = 0;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -201,13 +192,7 @@ class Options {
         }
       }
       if (matched) continue;
-      if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
-        if (passthrough_unknown_) {
-          passthrough_.push_back(argv[i]);
-          continue;
-        }
-        die("unknown flag '" + arg + "'");
-      }
+      if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') die("unknown flag '" + arg + "'");
       if (positional_ && positional_(arg)) continue;
       die("unexpected argument '" + arg + "'");
     }
@@ -288,9 +273,6 @@ class Options {
     return {spec::lookup("epyc7302"), spec::lookup("epyc9634")};
   }
 
-  /// argv[0] plus unrecognized flags, for benchmark::Initialize-style APIs.
-  [[nodiscard]] std::vector<char*>& passthrough() { return passthrough_; }
-
   [[noreturn]] void die(const std::string& msg) const {
     std::fprintf(stderr, "%s: %s\n", prog_, msg.c_str());
     print_usage(stderr);
@@ -365,7 +347,7 @@ class Options {
     if (positional_help_ != nullptr) std::fprintf(out, " %s", positional_help_);
     std::fprintf(out, "\n");
     if (tagline_ != nullptr && tagline_[0] != '\0') std::fprintf(out, "  %s\n", tagline_);
-    std::fprintf(out, "  --jobs N       sweep worker threads (0/default: SCN_JOBS or all cores)\n");
+    std::fprintf(out, "  --jobs N       sweep worker threads (0/default: all cores)\n");
     std::fprintf(out, "  --quick        reduced golden-test configuration\n");
     std::fprintf(out,
                  "  --platform P   builtin platform name (epyc7302, epyc9634) or .scn spec file\n");
@@ -393,7 +375,6 @@ class Options {
   std::vector<Spec> specs_;
   std::function<bool(const std::string&)> positional_;
   const char* positional_help_ = nullptr;
-  bool passthrough_unknown_ = false;
 
   bool quick_ = false;
   bool fastforward_ = false;
@@ -407,7 +388,6 @@ class Options {
   std::optional<tier::TierParams> tier_params_;
   std::string platform_arg_;
   std::optional<cluster::PlatformFile> platform_;
-  std::vector<char*> passthrough_;
 };
 
 }  // namespace scn::bench

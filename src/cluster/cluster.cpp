@@ -126,7 +126,6 @@ ClusterSim::ClusterSim(ClusterConfig config) : cfg_(std::move(config)), class_rn
     sc.gtm = cfg_.gtm;
     sc.arrival = cfg_.arrival;
     sc.classes = catalog_;
-    sc.worker_slots = cfg_.worker_slots;
     sc.warmup = cfg_.warmup;
     sc.stop = cfg_.stop;
     sc.external_arrivals = !cfg_.local_arrivals;

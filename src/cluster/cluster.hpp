@@ -132,7 +132,6 @@ struct ClusterConfig {
   /// Shared request catalog; empty selects a default catalog valid on every
   /// server (the CXL class is dropped if any server lacks a CXL tier).
   std::vector<serve::RequestClass> classes;
-  std::uint32_t worker_slots = 4;
   sim::Tick warmup = sim::from_us(40.0);
   sim::Tick stop = sim::from_us(200.0);
   sim::Tick max_drain = sim::from_ms(2.0);

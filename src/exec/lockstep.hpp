@@ -1,12 +1,11 @@
 // Lockstep barrier executor: persistent pinned workers for epoch-style
-// simulations.
+// simulations, and the one worker-thread engine in scn::exec.
 //
-// exec::ThreadPool and the ClusterSim shard pool it inspired both pay a
-// mutex acquisition, a deque push and two condition-variable round-trips per
-// shard per task. That is fine when tasks are whole experiments, but a
-// conservative-lookahead cluster fires one tiny task per shard per *epoch*,
-// and with a small link latency the epoch count runs into the millions —
-// synchronization, not simulation, dominates.
+// A mutex-guarded task queue pays a lock acquisition, a deque push and two
+// condition-variable round-trips per task. That is fine when tasks are whole
+// experiments, but a conservative-lookahead cluster fires one tiny task per
+// shard per *epoch*, and with a small link latency the epoch count runs into
+// the millions — synchronization, not simulation, dominates.
 //
 // Lockstep replaces the queue with a generation counter. Workers are pinned
 // (shard s is exactly one thread for the object's lifetime, as the fabric
@@ -20,9 +19,11 @@
 // generation value can never be confused for the next round's release, so
 // there is no A/B flag to flip and no missed-wakeup window.
 //
-// The slow path (post/drain) keeps the old task-queue semantics for
+// The slow path (post/drain) keeps per-shard task-queue semantics for
 // construction and teardown work, where per-call cost is irrelevant but
-// per-shard FIFO order still matters.
+// per-shard FIFO order still matters. exec::ParallelSweep runs a whole sweep
+// as one round: every worker pulls point indices from a shared counter until
+// none are left.
 #pragma once
 
 #include <atomic>

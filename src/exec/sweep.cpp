@@ -1,6 +1,7 @@
 #include "exec/sweep.hpp"
 
 #include <cstdint>
+#include <thread>
 
 namespace scn::exec {
 namespace {
@@ -15,6 +16,12 @@ std::uint64_t mix64(std::uint64_t z) noexcept {
 }
 
 }  // namespace
+
+int resolve_jobs(int requested) noexcept {
+  if (requested > 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
+}
 
 std::uint64_t point_seed(std::uint64_t base, std::uint64_t point) noexcept {
   return mix64(mix64(base) ^ mix64(point + 0x51ed2701ULL));

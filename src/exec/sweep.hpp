@@ -1,4 +1,4 @@
-// ParallelSweep: fan independent scenario points out to a worker pool.
+// ParallelSweep: fan independent scenario points out to worker threads.
 //
 // Every figure/table reproduction runs its sweep as N fully independent
 // Experiment instances (own Simulator, own Platform, own RNG streams), so the
@@ -9,14 +9,17 @@
 // jobs count — `--jobs 8` produces the same bytes as `--jobs 1`.
 #pragma once
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <exception>
+#include <mutex>
 #include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "exec/pool.hpp"
+#include "exec/lockstep.hpp"
 
 namespace scn::exec {
 
@@ -27,9 +30,13 @@ namespace scn::exec {
 /// points, so neighbouring points do not get correlated streams.
 [[nodiscard]] std::uint64_t point_seed(std::uint64_t base, std::uint64_t point) noexcept;
 
+/// Resolve a worker-count request: `requested` if positive, else
+/// std::thread::hardware_concurrency() (minimum 1).
+[[nodiscard]] int resolve_jobs(int requested = 0) noexcept;
+
 class ParallelSweep {
  public:
-  /// `jobs` as in resolve_jobs(): <= 0 means SCN_JOBS / hardware concurrency.
+  /// `jobs` as in resolve_jobs(): <= 0 means hardware concurrency.
   explicit ParallelSweep(int jobs = 0) : jobs_(resolve_jobs(jobs)) {}
 
   [[nodiscard]] int jobs() const noexcept { return jobs_; }
@@ -37,7 +44,12 @@ class ParallelSweep {
   /// Run fn(0) .. fn(count-1), each on some worker thread, and return the
   /// results in point order. fn must be invocable concurrently with distinct
   /// indices and must not touch shared mutable state. The first exception
-  /// thrown by any point is rethrown here after the pool drains.
+  /// thrown by any point is rethrown here after every point has run.
+  ///
+  /// The sweep is one exec::Lockstep round over min(jobs, count) workers;
+  /// each worker claims the next unclaimed index from a shared counter, so
+  /// points start in index order and a worker that finishes early picks up
+  /// the next one.
   template <typename Fn>
   auto map(int count, Fn&& fn) -> std::vector<std::invoke_result_t<Fn&, int>> {
     using R = std::invoke_result_t<Fn&, int>;
@@ -50,21 +62,22 @@ class ParallelSweep {
     }
 
     std::vector<std::optional<R>> slots(static_cast<std::size_t>(count));
+    std::atomic<int> next{0};
     std::exception_ptr first_error;
     std::mutex error_mu;
     {
-      ThreadPool pool(jobs_ < count ? jobs_ : count);
-      for (int i = 0; i < count; ++i) {
-        pool.submit([&, i] {
+      Lockstep step(jobs_ < count ? jobs_ : count);
+      step.set_work([&](int) {
+        for (int i = next++; i < count; i = next++) {
           try {
             slots[static_cast<std::size_t>(i)].emplace(fn(i));
           } catch (...) {
             std::lock_guard<std::mutex> lock(error_mu);
             if (!first_error) first_error = std::current_exception();
           }
-        });
-      }
-      pool.wait_idle();
+        }
+      });
+      step.run();
     }
     if (first_error) std::rethrow_exception(first_error);
 

@@ -1,54 +1,34 @@
-// Per-worker pending queue with a pluggable service discipline.
+// Per-worker pending queue: one binary min-heap keyed on (key, seq).
 //
-// FIFO is a plain deque — the exact structure (and therefore the exact pop
-// order) the serve layer used before the GTM existed, so the default
-// discipline perturbs nothing. Priority and EDF share one binary min-heap
-// keyed on (key, seq): the caller computes the key (class priority or
-// absolute deadline) and `seq` is the request's globally unique admission
-// id, which makes the comparator a total order — equal-key requests pop in
-// arrival order on every platform and at every --jobs, never in pointer or
-// hash order. That total order is what lets EDF and priority scheduling
-// coexist with the cluster's bit-identical lockstep contract.
+// The caller computes the key from the service discipline: 0 for FIFO, the
+// class priority for priority scheduling, the absolute deadline for EDF.
+// `seq` is the request's globally unique admission id, which makes the
+// comparator a total order — equal-key requests pop in arrival order on
+// every platform and at every --jobs, never in pointer or hash order. Ids
+// are handed out in increasing order and a request is queued as soon as it
+// gets one, so under FIFO (every key 0) a worker pops in push order. That
+// total order is what lets EDF and priority scheduling coexist with the
+// cluster's bit-identical lockstep contract.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <vector>
-
-#include "gtm/policy.hpp"
 
 namespace scn::gtm {
 
 template <typename T>
 class WorkerQueue {
  public:
-  WorkerQueue() = default;
-  explicit WorkerQueue(Discipline d) : discipline_(d) {}
-
-  /// Must be called before any push (queues are configured at server build).
-  void set_discipline(Discipline d) noexcept { discipline_ = d; }
-  [[nodiscard]] Discipline discipline() const noexcept { return discipline_; }
-
-  /// `key` orders the heap disciplines (lower pops first); ignored by FIFO.
-  /// `seq` breaks key ties deterministically (lower = earlier arrival).
+  /// `key` orders the queue (lower pops first); `seq` breaks key ties
+  /// deterministically (lower = earlier arrival).
   void push(T* item, std::uint64_t key, std::uint64_t seq) {
-    if (discipline_ == Discipline::kFifo) {
-      fifo_.push_back(item);
-      return;
-    }
     heap_.push_back(Entry{key, seq, item});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
-  /// Remove and return the next request per the discipline; nullptr if empty.
+  /// Remove and return the lowest (key, seq) request; nullptr if empty.
   [[nodiscard]] T* pop() {
-    if (discipline_ == Discipline::kFifo) {
-      if (fifo_.empty()) return nullptr;
-      T* item = fifo_.front();
-      fifo_.pop_front();
-      return item;
-    }
     if (heap_.empty()) return nullptr;
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     T* item = heap_.back().item;
@@ -56,10 +36,8 @@ class WorkerQueue {
     return item;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept {
-    return discipline_ == Discipline::kFifo ? fifo_.size() : heap_.size();
-  }
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
 
  private:
   struct Entry {
@@ -76,8 +54,6 @@ class WorkerQueue {
     }
   };
 
-  Discipline discipline_ = Discipline::kFifo;
-  std::deque<T*> fifo_;
   std::vector<Entry> heap_;
 };
 

@@ -38,8 +38,8 @@ struct LoadPoint {
 /// Run `points` load levels from light load to unthrottled and return one
 /// LoadPoint per level. The last point is always the unthrottled maximum.
 /// Points are independent Experiments fanned out over `jobs` worker threads
-/// (exec::resolve_jobs semantics: <= 0 means SCN_JOBS / hardware
-/// concurrency); results are bit-identical for any jobs count.
+/// (exec::resolve_jobs semantics: <= 0 means hardware concurrency);
+/// results are bit-identical for any jobs count.
 /// `fastforward` enables the analytic steady-state batch-advance
 /// (traffic::FastForwarder): ~the same numbers, a fraction of the events.
 /// Off (the default) is strict mode — bit-identical to the pre-fast-path

@@ -14,6 +14,12 @@ namespace scn::serve {
 namespace {
 
 constexpr int kQuadrants = 4;
+/// Concurrent requests a worker serves; beyond this, requests queue.
+constexpr std::uint32_t kWorkerSlots = 4;
+/// Streaming readers the colocated antagonist pins to CCD 0.
+constexpr int kAntagonistFlows = 4;
+/// Telemetry policy sampling period (per-CCD GMI byte-counter deltas).
+constexpr sim::Tick kTelemetryEpoch = sim::from_us(2.0);
 
 }  // namespace
 
@@ -37,7 +43,6 @@ ServerSim::ServerSim(sim::Simulator& simulator, topo::Platform& platform, Server
   fabric_rng_.reseed(sim::splitmix64(s));
   antagonist_seed_ = sim::splitmix64(s);
 
-  if (cfg_.worker_slots == 0) cfg_.worker_slots = 1;
   if (cfg_.warmup >= cfg_.stop) {
     // An empty (or negative) measurement window silently zeroes every rate
     // in report(); fail loudly like the catalog validator does.
@@ -96,10 +101,9 @@ ServerSim::ServerSim(sim::Simulator& simulator, topo::Platform& platform, Server
     tiered_ = std::make_unique<tier::TieredMemory>(simulator, platform, cfg_.tier);
   }
 
-  // GTM wiring: queue discipline per worker, per-class admission buckets,
-  // per-class hedge-delay estimators. The default policy (FIFO / none / off)
-  // configures nothing that changes behavior.
-  for (auto& w : workers_) w.queue.set_discipline(cfg_.gtm.discipline);
+  // GTM wiring: per-class admission buckets and hedge-delay estimators (the
+  // queue discipline is applied per push, by queue_key). The default policy
+  // (FIFO / none / off) configures nothing that changes behavior.
   {
     std::vector<double> weights;
     std::vector<sim::Tick> slos;
@@ -117,7 +121,7 @@ ServerSim::ServerSim(sim::Simulator& simulator, topo::Platform& platform, Server
   // event queue and this thread's walk pool for the serving concurrency
   // bound — every worker slot can hold a request with a handful of fabric
   // legs in flight — so slab/vector growth happens here, not mid-measurement.
-  const std::size_t inflight = workers_.size() * static_cast<std::size_t>(cfg_.worker_slots);
+  const std::size_t inflight = workers_.size() * static_cast<std::size_t>(kWorkerSlots);
   sim_->reserve_events(inflight * 4 + 64);
   fabric::reserve_walks(inflight * 2 + 32);
   // Fabric legs dominate the event mix; their serialization times sit at the
@@ -171,7 +175,7 @@ void ServerSim::start() {
   started_ = true;
 
   if (cfg_.antagonist) {
-    for (int i = 0; i < cfg_.antagonist_flows; ++i) {
+    for (int i = 0; i < kAntagonistFlows; ++i) {
       traffic::StreamFlow::Config fc;
       fc.name = "antagonist" + std::to_string(i);
       fc.op = fabric::Op::kRead;
@@ -191,7 +195,7 @@ void ServerSim::start() {
       const Worker& w = workers_[c * static_cast<std::size_t>(platform_->ccx_per_ccd())];
       pred_ns_[c] = model::loaded_latency_ns(w.dram_near, fabric::kCachelineBytes, 0.0);
     }
-    sim_->schedule(cfg_.telemetry_epoch, [this] { telemetry_tick(); });
+    sim_->schedule(kTelemetryEpoch, [this] { telemetry_tick(); });
   }
 
   if (tiered_) tiered_->start(cfg_.stop);
@@ -267,7 +271,7 @@ ServerSim::Request* ServerSim::make_request(int cls, sim::Tick origin) {
 std::uint64_t ServerSim::queue_key(const Request* r) const {
   switch (cfg_.gtm.discipline) {
     case gtm::Discipline::kFifo:
-      return 0;  // the deque fast path ignores keys entirely
+      return 0;  // ties throughout: pops follow the admission id
     case gtm::Discipline::kPriority:
       return static_cast<std::uint64_t>(classes_[static_cast<std::size_t>(r->cls)].priority);
     case gtm::Discipline::kEdf:
@@ -329,7 +333,7 @@ int ServerSim::place(int cls) {
 }
 
 void ServerSim::dispatch(Worker& worker) {
-  while (worker.in_flight < cfg_.worker_slots && !worker.queue.empty()) {
+  while (worker.in_flight < kWorkerSlots && !worker.queue.empty()) {
     Request* r = worker.queue.pop();
     if (r->cancelled) {
       // Mate completed while this copy was still queued: it never took a
@@ -563,7 +567,7 @@ void ServerSim::complete(Request* r) {
 
 void ServerSim::telemetry_tick() {
   const sim::Tick now = sim_->now();
-  const double epoch_ns = sim::to_ns(cfg_.telemetry_epoch);
+  const double epoch_ns = sim::to_ns(kTelemetryEpoch);
   const auto ccxs = static_cast<std::size_t>(platform_->ccx_per_ccd());
   for (std::size_t c = 0; c < pred_ns_.size(); ++c) {
     const int ccd = static_cast<int>(c);
@@ -575,7 +579,7 @@ void ServerSim::telemetry_tick() {
                                            fabric::kCachelineBytes, gbps);
   }
   if (now < cfg_.stop) {
-    sim_->schedule(cfg_.telemetry_epoch, [this] { telemetry_tick(); });
+    sim_->schedule(kTelemetryEpoch, [this] { telemetry_tick(); });
   }
 }
 

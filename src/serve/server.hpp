@@ -50,8 +50,6 @@ struct ServerConfig {
   tier::TierConfig tier;
   /// Request catalog; empty selects default_classes(platform params).
   std::vector<RequestClass> classes;
-  /// Concurrent requests a worker serves; beyond this, requests queue.
-  std::uint32_t worker_slots = 4;
   /// Requests arriving before `warmup` load the system but are not measured.
   sim::Tick warmup = sim::from_us(40.0);
   /// Arrivals cease at `stop`; in-flight requests drain afterwards. The ctor
@@ -66,9 +64,6 @@ struct ServerConfig {
   /// saturating its GMI for the whole run. This is the noisy neighbor the
   /// telemetry policy is supposed to steer around.
   bool antagonist = false;
-  int antagonist_flows = 4;
-  /// Telemetry policy sampling period (per-CCD GMI byte-counter deltas).
-  sim::Tick telemetry_epoch = sim::from_us(2.0);
   /// Test hooks (request id, stage index / worker index). Not for benchmarks.
   std::function<void(std::uint64_t, int)> on_stage_done;
   std::function<void(std::uint64_t, int)> on_placed;
@@ -217,7 +212,7 @@ class ServerSim {
     std::vector<fabric::TokenPool*> read_pools;
     std::vector<fabric::TokenPool*> write_pools;
     std::uint32_t in_flight = 0;
-    gtm::WorkerQueue<Request> queue;  ///< discipline set at server build
+    gtm::WorkerQueue<Request> queue;  ///< keyed by queue_key()
     std::uint64_t served = 0;         ///< requests placed here
   };
 

@@ -19,15 +19,13 @@ std::vector<LoadPoint> sweep(const topo::PlatformParams& params, const SweepConf
     ServerConfig sc;
     sc.policy = config.policies[static_cast<std::size_t>(p)];
     sc.arrival = config.arrival_template;
-    sc.arrival.kind = config.arrival;
     sc.arrival.rate_per_us = config.rates_per_us[static_cast<std::size_t>(r)];
     sc.gtm = config.gtm;
     sc.tier = config.tier;
     sc.classes = config.classes;
-    sc.worker_slots = config.worker_slots;
     sc.warmup = config.warmup;
     sc.stop = config.stop;
-    sc.antagonist = config.antagonist;
+    sc.antagonist = true;  // every sweep runs beside the CCD 0 batch job
     // Seed depends on the rate index only: every policy replays the same
     // arrival sequence at a given rate (paired policy comparison).
     sc.seed = exec::point_seed(config.seed, static_cast<std::uint64_t>(r));

@@ -26,10 +26,8 @@ struct LoadPoint {
 struct SweepConfig {
   std::vector<double> rates_per_us;
   std::vector<Policy> policies = {Policy::kRoundRobin, Policy::kLocal, Policy::kTelemetry};
-  ArrivalKind arrival = ArrivalKind::kPoisson;
-  /// Shape knobs for the arrival schedule (MMPP factors, diurnal cycle,
-  /// trace). `arrival` overrides its kind and the grid overrides its rate,
-  /// so the default template changes nothing.
+  /// The arrival schedule (kind, MMPP factors, diurnal cycle, trace); the
+  /// grid overrides its rate.
   ArrivalConfig arrival_template;
   /// GTM policy bundle applied to every server in the sweep.
   gtm::TrafficPolicy gtm;
@@ -37,8 +35,6 @@ struct SweepConfig {
   /// behavior, exactly).
   tier::TierConfig tier;
   std::vector<RequestClass> classes;  ///< empty => default catalog
-  bool antagonist = true;
-  std::uint32_t worker_slots = 4;
   sim::Tick warmup = sim::from_us(40.0);
   sim::Tick stop = sim::from_us(200.0);
   sim::Tick max_drain = sim::from_ms(2.0);

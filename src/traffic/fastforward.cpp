@@ -12,6 +12,16 @@ namespace {
 
 constexpr sim::Tick kNoChange = std::numeric_limits<sim::Tick>::max();
 
+constexpr double kRateEpsilon = 0.05;     ///< relative half-span completion delta
+constexpr double kLatencyEpsilon = 0.10;  ///< relative half-span mean-RTT delta
+constexpr double kCountSlack = 2.0;       ///< absolute per-window completions slack
+/// Single-window deviation cap, as a multiple of the epsilons: a window may
+/// stray this far from the span median (periodic stalls do) without voiding
+/// the span; anything worse is a real disturbance.
+constexpr double kOutlierFactor = 4.0;
+constexpr sim::Tick kMaxDrain = sim::from_us(5);  ///< abort a stuck drain
+constexpr double kModelSlack = 1.10;              ///< certificate bound slack
+
 /// Payload+header bytes a message carries on one leg (mirrors the admission
 /// sizes fabric::run_transaction uses, so analytic channel telemetry lines
 /// up with discrete-mode telemetry).
@@ -75,7 +85,6 @@ sim::Tick FastForwarder::next_demand_change() const {
     consider(cfg.stop_at);
     for (const auto& [when, rate] : cfg.rate_schedule) consider(when);
   }
-  if (config_.horizon > 0) consider(config_.horizon);
   return t;
 }
 
@@ -116,9 +125,8 @@ FastForwarder::Verdict FastForwarder::flow_verdict(const FlowState& fs) const {
   std::nth_element(sorted_means.begin(), sorted_means.begin() + static_cast<std::ptrdiff_t>(n / 2),
                    sorted_means.end());
   const double med_m = sorted_means[n / 2];
-  const double cap_c = std::max(static_cast<double>(config_.count_slack),
-                                config_.outlier_factor * config_.rate_epsilon * med_c);
-  const double cap_m = config_.outlier_factor * config_.latency_epsilon * med_m + 1.0;
+  const double cap_c = std::max(kCountSlack, kOutlierFactor * kRateEpsilon * med_c);
+  const double cap_m = kOutlierFactor * kLatencyEpsilon * med_m + 1.0;
   double count_dev_max = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const double cdev = std::abs(static_cast<double>(fs.win_count[i]) - med_c);
@@ -152,13 +160,12 @@ FastForwarder::Verdict FastForwarder::flow_verdict(const FlowState& fs) const {
   const std::uint64_t chi = std::max(c1, c2);
   const std::uint64_t cdiff = c1 > c2 ? c1 - c2 : c2 - c1;
   const double count_tol =
-      std::max(static_cast<double>(config_.count_slack) * static_cast<double>(h),
-               config_.rate_epsilon * static_cast<double>(chi)) +
+      std::max(kCountSlack * static_cast<double>(h), kRateEpsilon * static_cast<double>(chi)) +
       count_dev_max;
   if (static_cast<double>(cdiff) > count_tol) return Verdict::kDisturbed;
   const double m1 = c1 > 0 ? static_cast<double>(r1) / static_cast<double>(c1) : 0.0;
   const double m2 = c2 > 0 ? static_cast<double>(r2) / static_cast<double>(c2) : 0.0;
-  if (std::abs(m1 - m2) > config_.latency_epsilon * std::max(m1, m2) + 1.0) {
+  if (std::abs(m1 - m2) > kLatencyEpsilon * std::max(m1, m2) + 1.0) {
     return Verdict::kDisturbed;
   }
 
@@ -235,7 +242,7 @@ void FastForwarder::sample_tick() {
 void FastForwarder::begin_jump(sim::Tick horizon) {
   suspend_time_ = simulator_->now();
   for (auto& fs : flows_) fs->flow->suspend();
-  drain_wait(horizon, suspend_time_ + config_.max_drain);
+  drain_wait(horizon, suspend_time_ + kMaxDrain);
 }
 
 void FastForwarder::drain_wait(sim::Tick horizon, sim::Tick deadline) {
@@ -295,7 +302,7 @@ void FastForwarder::commit_jump(sim::Tick horizon) {
     w.total_window = fs.flow->current_window();
     const double mean_rtt_ns = fs.sample.empty() ? 0.0 : fs.sample.mean() / 1000.0;
     carry.batch = model::batch_advance(cfg.paths, w, sim::to_ns(carry.end - t0), carry.rate,
-                                       mean_rtt_ns, config_.model_slack);
+                                       mean_rtt_ns, kModelSlack);
     if (!carry.batch.trusted) {
       // The measurement violates a physical bound the model can prove
       // (capacity, BDP, zero-load RTT): the steadiness certificate is not

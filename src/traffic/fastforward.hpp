@@ -55,13 +55,6 @@ class FastForwarder {
     sim::Tick sample_window = sim::from_us(5);  ///< telemetry slice width
     /// Minimum windows per half-span (a span certifies with 2x this many).
     int steady_windows = 3;
-    double rate_epsilon = 0.05;     ///< relative half-span completion delta
-    double latency_epsilon = 0.10;  ///< relative half-span mean-RTT delta
-    std::uint64_t count_slack = 2;  ///< absolute per-window completions slack
-    /// Single-window deviation cap, as a multiple of the epsilons: a window
-    /// may stray this far from the span median (periodic stalls do) without
-    /// voiding the span; anything worse is a real disturbance.
-    double outlier_factor = 4.0;
     /// Steady span required before a jump; raise to the platform's noise
     /// interval so the sample histogram contains the periodic stall tail.
     sim::Tick min_sample_span = sim::from_us(30);
@@ -82,19 +75,14 @@ class FastForwarder {
     /// Per-flow floor below which a flow's shape is too lumpy to scale at
     /// all, no matter what the others banked.
     std::uint64_t min_flow_samples = 64;
-    sim::Tick min_jump = sim::from_us(5);       ///< don't bother below this
-    sim::Tick max_drain = sim::from_us(5);      ///< abort a stuck drain
-    double model_slack = 1.10;                  ///< certificate bound slack
-    /// Optional absolute horizon (e.g. the experiment's run_until deadline);
-    /// 0 means "flows' own demand changes only".
-    sim::Tick horizon = 0;
+    sim::Tick min_jump = sim::from_us(5);  ///< don't bother below this
   };
 
   struct Stats {
     std::uint64_t samples = 0;        ///< telemetry windows examined
     std::uint64_t jumps = 0;          ///< successful batch-advances
     std::uint64_t rejected = 0;       ///< certificate / model cross-check fails
-    std::uint64_t aborted_drains = 0; ///< drains that exceeded max_drain
+    std::uint64_t aborted_drains = 0; ///< drains that ran past the 5 us cap
     sim::Tick skipped_ticks = 0;      ///< simulated time carried analytically
     std::uint64_t synthetic_completions = 0;
   };

@@ -117,7 +117,6 @@ TEST(ClusterEquivalence, LocalArrivalsMatchStandaloneServers) {
     sc.policy = cc.placement;
     sc.arrival = cc.arrival;
     sc.classes = c.classes();
-    sc.worker_slots = cc.worker_slots;
     sc.warmup = cc.warmup;
     sc.stop = cc.stop;
     sc.seed = cluster::server_seed(cc.seed, i);

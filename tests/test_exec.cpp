@@ -1,4 +1,4 @@
-// scn::exec: thread pool + ParallelSweep driver, the determinism guarantee
+// scn::exec: Lockstep engine + ParallelSweep driver, the determinism guarantee
 // (parallel sweeps are bit-identical to serial), and regression tests for the
 // telemetry accounting fixes that rode along (channel utilization clamping,
 // loadsweep offered-load reporting).
@@ -7,13 +7,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "exec/lockstep.hpp"
-#include "exec/pool.hpp"
 #include "exec/sweep.hpp"
 #include "fabric/channel.hpp"
 #include "measure/experiment.hpp"
@@ -26,32 +25,6 @@ namespace scn {
 namespace {
 
 using sim::from_ns;
-
-// ---- thread pool --------------------------------------------------------------
-
-TEST(ThreadPool, RunsEveryTask) {
-  exec::ThreadPool pool(4);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&done] { ++done; });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 100);
-}
-
-TEST(ThreadPool, ReusableAfterWaitIdle) {
-  exec::ThreadPool pool(2);
-  std::atomic<int> done{0};
-  pool.submit([&done] { ++done; });
-  pool.wait_idle();
-  for (int i = 0; i < 10; ++i) pool.submit([&done] { ++done; });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 11);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  exec::ThreadPool pool(3);
-  pool.wait_idle();  // must not hang
-  EXPECT_EQ(pool.size(), 3);
-}
 
 // ---- lockstep barrier ----------------------------------------------------
 
@@ -115,20 +88,16 @@ TEST(Lockstep, PostedTasksRunOnTheirShard) {
 }
 
 TEST(ResolveJobs, ExplicitRequestWins) {
-  ::setenv("SCN_JOBS", "7", 1);
   EXPECT_EQ(exec::resolve_jobs(3), 3);
-  ::unsetenv("SCN_JOBS");
+  EXPECT_EQ(exec::ParallelSweep(7).jobs(), 7);
 }
 
-TEST(ResolveJobs, ReadsEnvironment) {
-  ::setenv("SCN_JOBS", "5", 1);
-  EXPECT_EQ(exec::resolve_jobs(0), 5);
-  ::setenv("SCN_JOBS", "not-a-number", 1);
-  EXPECT_GE(exec::resolve_jobs(0), 1);  // invalid env falls back
-  ::setenv("SCN_JOBS", "-2", 1);
-  EXPECT_GE(exec::resolve_jobs(0), 1);
-  ::unsetenv("SCN_JOBS");
-  EXPECT_GE(exec::resolve_jobs(0), 1);
+TEST(ResolveJobs, NonPositiveMeansHardwareConcurrency) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int expected = hw > 0 ? static_cast<int>(hw) : 1;
+  EXPECT_EQ(exec::resolve_jobs(0), expected);
+  EXPECT_EQ(exec::resolve_jobs(-2), expected);
+  EXPECT_EQ(exec::ParallelSweep().jobs(), expected);
 }
 
 TEST(PointSeed, DeterministicAndDistinct) {
@@ -164,14 +133,34 @@ TEST(ParallelSweep, EmptyAndSingle) {
   EXPECT_EQ(one[0], 41);
 }
 
+TEST(ParallelSweep, EveryPointRunsExactlyOnce) {
+  // More points than workers: each worker keeps claiming indices until the
+  // sweep is exhausted, and no index is claimed twice.
+  constexpr int kPoints = 257;
+  std::vector<std::atomic<int>> runs(kPoints);
+  exec::ParallelSweep sweep(3);
+  const auto out = sweep.map(kPoints, [&runs](int i) {
+    ++runs[static_cast<std::size_t>(i)];
+    return i;
+  });
+  ASSERT_EQ(out.size(), static_cast<std::size_t>(kPoints));
+  for (int i = 0; i < kPoints; ++i) {
+    EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1) << "point " << i;
+    EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
+  }
+}
+
 TEST(ParallelSweep, PropagatesExceptions) {
   exec::ParallelSweep sweep(4);
+  std::atomic<int> ran{0};
   EXPECT_THROW(sweep.map(8,
-                         [](int i) -> int {
+                         [&ran](int i) -> int {
+                           ++ran;
                            if (i == 5) throw std::runtime_error("point failed");
                            return i;
                          }),
                std::runtime_error);
+  EXPECT_EQ(ran.load(), 8);  // a failed point does not cancel the others
 }
 
 // ---- determinism: parallel sweeps == serial sweeps ---------------------------

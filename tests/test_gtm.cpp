@@ -30,12 +30,12 @@ struct Item {
 };
 
 TEST(GtmQueue, FifoPopsInPushOrder) {
+  // FIFO is every key 0: the admission-id tiebreak alone orders the pops.
   gtm::WorkerQueue<Item> q;
-  q.set_discipline(gtm::Discipline::kFifo);
   Item a{1}, b{2}, c{3};
-  q.push(&a, 99, 0);  // FIFO ignores keys entirely
+  q.push(&a, 0, 0);
   q.push(&b, 0, 1);
-  q.push(&c, 50, 2);
+  q.push(&c, 0, 2);
   EXPECT_EQ(q.size(), 3u);
   EXPECT_EQ(q.pop()->tag, 1);
   EXPECT_EQ(q.pop()->tag, 2);
@@ -46,7 +46,6 @@ TEST(GtmQueue, FifoPopsInPushOrder) {
 
 TEST(GtmQueue, HeapPopsByKeyThenSeq) {
   gtm::WorkerQueue<Item> q;
-  q.set_discipline(gtm::Discipline::kEdf);
   Item a{1}, b{2}, c{3}, d{4};
   q.push(&a, 30, 0);
   q.push(&b, 10, 3);
@@ -63,7 +62,6 @@ TEST(GtmQueue, PriorityIsStableWithinAClass) {
   // Equal keys (same priority class) must preserve arrival (seq) order — the
   // deterministic total order the lockstep cluster relies on.
   gtm::WorkerQueue<Item> q;
-  q.set_discipline(gtm::Discipline::kPriority);
   std::vector<Item> items(16);
   for (int i = 0; i < 16; ++i) {
     items[static_cast<std::size_t>(i)].tag = i;

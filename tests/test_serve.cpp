@@ -478,7 +478,6 @@ serve::SweepConfig knee_sweep_config(std::vector<double> rates) {
   serve::SweepConfig sc;
   sc.rates_per_us = std::move(rates);
   sc.policies = {serve::Policy::kRoundRobin, serve::Policy::kTelemetry};
-  sc.antagonist = true;
   sc.warmup = sim::from_us(25.0);
   sc.stop = sim::from_us(100.0);
   sc.max_drain = sim::from_ms(1.0);
@@ -629,7 +628,6 @@ TEST(ServeGtm, SweepBitIdenticalAcrossJobsWithFullBundle) {
     serve::SweepConfig sc;
     sc.rates_per_us = {24.0};
     sc.policies = {serve::Policy::kRoundRobin};
-    sc.antagonist = true;
     sc.warmup = sim::from_us(25.0);
     sc.stop = sim::from_us(100.0);
     sc.max_drain = sim::from_ms(1.0);

@@ -334,7 +334,6 @@ serve::SweepConfig quick_tier_sweep(const topo::PlatformParams& params) {
   sc.rates_per_us = {1.0, 8.0, 32.0};
   sc.policies = {serve::Policy::kLocal};
   sc.classes = serve::tiering_classes(params);
-  sc.antagonist = true;
   sc.warmup = sim::from_us(25.0);
   sc.stop = sim::from_us(100.0);
   sc.max_drain = sim::from_ms(1.0);
