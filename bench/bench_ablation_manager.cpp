@@ -30,7 +30,9 @@ void run(const topo::PlatformParams& params, SweepLink link, std::uint64_t seed)
   const double cap = baseline.capacity_gbps;
   auto mk = [&](int idx) {
     traffic::StreamFlow::Config cfg;
-    cfg.name = "m" + std::to_string(idx + 1);
+    // Appended: "m" + to_string(i) trips a g++ 12 -Wrestrict false positive.
+    cfg.name = "m";
+    cfg.name += std::to_string(idx + 1);
     // Spread the two flow aggregates over the chiplet's CCX ports so the
     // shared segment under management (the GMI) is the only coupling.
     const int ccx = idx % params.ccx_per_ccd;

@@ -605,9 +605,11 @@ int run_tracked_harness(const std::string& json_path, int repeats, bool quick) {
                          &cluster_path, &cluster_epochs, &gtm_overhead,
                          &fastforward,  &tier_migrations, &tier_hit};
   constexpr std::size_t kCount = sizeof(all) / sizeof(all[0]);
+  // One decimal, as in the JSON the delta gate reads: the ratio metrics
+  // (gtm_retained_throughput, fastforward_speedup, tier_hit_ratio) sit near 1.
   std::printf("%-28s %14s %12s\n", "metric", "per_sec", "units/run");
   for (const Metric* m : all) {
-    std::printf("%-28s %14.0f %12" PRIu64 "\n", m->key, m->best_per_sec, m->units);
+    std::printf("%-28s %14.1f %12" PRIu64 "\n", m->key, m->best_per_sec, m->units);
   }
   if (json_path.empty()) return 0;
 

@@ -109,8 +109,15 @@ PlatformFile load_platform_file(const std::string& name_or_path) {
 
 std::string dump_platform_file(const PlatformFile& file) {
   std::string out = spec::dump(file.platform);
-  if (file.gtm != gtm::GtmParams{}) out += "\n" + gtm::dump_gtm(file.gtm);
-  if (file.tier != tier::TierParams{}) out += "\n" + tier::dump_tier(file.tier);
+  // Appended: "\n" + dump trips a g++ 12 -Wrestrict false positive.
+  if (file.gtm != gtm::GtmParams{}) {
+    out += "\n";
+    out += gtm::dump_gtm(file.gtm);
+  }
+  if (file.tier != tier::TierParams{}) {
+    out += "\n";
+    out += tier::dump_tier(file.tier);
+  }
   return out;
 }
 

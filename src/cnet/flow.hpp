@@ -39,11 +39,17 @@ struct FlowDescriptor {
   double demand_gbps = 0.0;  ///< declared demand; 0 = unbounded
 
   [[nodiscard]] std::string to_string() const {
-    return name + " [ccd" + std::to_string(src_ccd) + "/ccx" + std::to_string(src_ccx) + " -> " +
-           cnet::to_string(dst) +
-           (dst_index >= 0 ? "#" + std::to_string(dst_index) : std::string("#*")) + " " +
-           fabric::to_string(op) +
-           (demand_gbps > 0.0 ? " " + std::to_string(demand_gbps) + "GB/s" : "") + "]";
+    // Built by appending: "#" + to_string() trips a g++ 12 -Wrestrict false
+    // positive at -O3.
+    std::string s = name + " [ccd" + std::to_string(src_ccd) + "/ccx" +
+                    std::to_string(src_ccx) + " -> " + cnet::to_string(dst) + "#" +
+                    (dst_index >= 0 ? std::to_string(dst_index) : "*") + " " +
+                    fabric::to_string(op);
+    if (demand_gbps > 0.0) {
+      s += " ";
+      s += std::to_string(demand_gbps) + "GB/s";
+    }
+    return s + "]";
   }
 };
 

@@ -22,8 +22,9 @@
 // The slow path (post/drain) keeps per-shard task-queue semantics for
 // construction and teardown work, where per-call cost is irrelevant but
 // per-shard FIFO order still matters. exec::ParallelSweep runs a whole sweep
-// as one round: every worker pulls point indices from a shared counter until
-// none are left.
+// as one round: every worker takes tickets from a shared counter until none
+// are left, and ticket k runs the k-th point of the sweep's dispatch order
+// (index order, or heaviest first when the caller passes a per-point cost).
 #pragma once
 
 #include <atomic>

@@ -1,6 +1,8 @@
 #include "exec/sweep.hpp"
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <thread>
 
 namespace scn::exec {
@@ -21,6 +23,20 @@ int resolve_jobs(int requested) noexcept {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
+std::vector<int> identity_order(int n) {
+  std::vector<int> order(static_cast<std::size_t>(n > 0 ? n : 0));
+  std::iota(order.begin(), order.end(), 0);
+  return order;
+}
+
+std::vector<int> heaviest_first(const std::vector<double>& costs) {
+  std::vector<int> order = identity_order(static_cast<int>(costs.size()));
+  std::stable_sort(order.begin(), order.end(), [&costs](int a, int b) {
+    return costs[static_cast<std::size_t>(a)] > costs[static_cast<std::size_t>(b)];
+  });
+  return order;
 }
 
 std::uint64_t point_seed(std::uint64_t base, std::uint64_t point) noexcept {

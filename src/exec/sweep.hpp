@@ -34,6 +34,13 @@ namespace scn::exec {
 /// std::thread::hardware_concurrency() (minimum 1).
 [[nodiscard]] int resolve_jobs(int requested = 0) noexcept;
 
+/// The points 0 .. n-1 in index order.
+[[nodiscard]] std::vector<int> identity_order(int n);
+
+/// The indices of `costs` sorted by descending cost, ties by index: the
+/// order in which ParallelSweep::map(count, fn, cost) starts its points.
+[[nodiscard]] std::vector<int> heaviest_first(const std::vector<double>& costs);
+
 class ParallelSweep {
  public:
   /// `jobs` as in resolve_jobs(): <= 0 means hardware concurrency.
@@ -46,29 +53,50 @@ class ParallelSweep {
   /// indices and must not touch shared mutable state. The first exception
   /// thrown by any point is rethrown here after every point has run.
   ///
-  /// The sweep is one exec::Lockstep round over min(jobs, count) workers;
-  /// each worker claims the next unclaimed index from a shared counter, so
-  /// points start in index order and a worker that finishes early picks up
-  /// the next one.
+  /// Points start in index order; this is map(count, fn, cost) with every
+  /// point costing the same.
   template <typename Fn>
   auto map(int count, Fn&& fn) -> std::vector<std::invoke_result_t<Fn&, int>> {
+    return run(fn, identity_order(count));
+  }
+
+  /// As map(count, fn), but points start heaviest first: cost(i) is a hint
+  /// of point i's host time (say, its offered load), and the points start in
+  /// descending cost, ties in index order. Running the stragglers first lets
+  /// the cheap points fill in behind them, so the sweep does not end on one
+  /// long point. The order changes only which worker runs a point and when;
+  /// the results are the same for any cost.
+  template <typename Fn, typename Cost>
+  auto map(int count, Fn&& fn, Cost&& cost) -> std::vector<std::invoke_result_t<Fn&, int>> {
+    std::vector<double> costs;
+    costs.reserve(static_cast<std::size_t>(count > 0 ? count : 0));
+    for (int i = 0; i < count; ++i) costs.push_back(static_cast<double>(cost(i)));
+    return run(fn, heaviest_first(costs));
+  }
+
+ private:
+  /// The one dispatch loop: an exec::Lockstep round over min(jobs, count)
+  /// workers (inline on the caller when that is 1). Each worker takes the
+  /// next ticket k from a shared counter and runs point order[k], so a worker
+  /// that finishes early picks up the next one.
+  template <typename Fn>
+  auto run(Fn& fn, const std::vector<int>& order)
+      -> std::vector<std::invoke_result_t<Fn&, int>> {
     using R = std::invoke_result_t<Fn&, int>;
+    const int count = static_cast<int>(order.size());
     std::vector<R> out;
-    if (count <= 0) return out;
-    if (jobs_ <= 1 || count == 1) {
-      out.reserve(static_cast<std::size_t>(count));
-      for (int i = 0; i < count; ++i) out.push_back(fn(i));
-      return out;
-    }
+    if (count == 0) return out;
 
     std::vector<std::optional<R>> slots(static_cast<std::size_t>(count));
     std::atomic<int> next{0};
     std::exception_ptr first_error;
     std::mutex error_mu;
     {
-      Lockstep step(jobs_ < count ? jobs_ : count);
+      const int workers = jobs_ < count ? jobs_ : count;
+      Lockstep step(workers > 1 ? workers : 0);
       step.set_work([&](int) {
-        for (int i = next++; i < count; i = next++) {
+        for (int k = next++; k < count; k = next++) {
+          const int i = order[static_cast<std::size_t>(k)];
           try {
             slots[static_cast<std::size_t>(i)].emplace(fn(i));
           } catch (...) {
@@ -86,7 +114,6 @@ class ParallelSweep {
     return out;
   }
 
- private:
   int jobs_;
 };
 

@@ -36,7 +36,7 @@ struct Endpoint {
   /// direction, and payload, returns the completion tick. When set it
   /// replaces the service channel + access latency (and models its own
   /// refresh/hiccup behaviour).
-  std::function<sim::Tick(sim::Tick now, bool is_write, double bytes)> custom_service;
+  std::function<sim::Tick(sim::Tick now, bool is_write, double bytes)> custom_service{};
 };
 
 /// A full route. `outbound` runs source -> endpoint (carries the command,

@@ -31,7 +31,9 @@ std::pair<double, double> run_point(const topo::PlatformParams& params, SweepLin
     if (!is_fg && !bg_active) continue;
     const fabric::Op op = is_fg ? fg_op : bg_op;
     traffic::StreamFlow::Config cfg;
-    cfg.name = (is_fg ? "X" : "Y") + std::to_string(id);
+    // Appended: "X" + to_string(id) trips a g++ 12 -Wrestrict false positive.
+    cfg.name = is_fg ? "X" : "Y";
+    cfg.name += std::to_string(id);
     cfg.op = op;
     cfg.paths = sites[i].paths;
     cfg.pools = e.platform.pools_for(sites[i].ccd, sites[i].ccx, op);

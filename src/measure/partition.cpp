@@ -50,7 +50,9 @@ PartitionResult partition_case(const topo::PlatformParams& params, SweepLink lin
     const std::size_t g = i < split ? 0 : 1;
     const std::size_t members = g == 0 ? split : sites.size() - split;
     traffic::StreamFlow::Config cfg;
-    cfg.name = "f" + std::to_string(g) + "." + std::to_string(id);
+    // Appended: "f" + to_string(g) trips a g++ 12 -Wrestrict false positive.
+    cfg.name = "f";
+    cfg.name += std::to_string(g) + "." + std::to_string(id);
     cfg.op = op;
     cfg.paths = sites[i].paths;
     cfg.pools = e.platform.pools_for(sites[i].ccd, sites[i].ccx, op);

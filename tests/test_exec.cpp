@@ -81,10 +81,10 @@ TEST(Lockstep, PostedTasksRunOnTheirShard) {
   EXPECT_EQ(seen[1], (std::vector<int>{1, 3, 5, 7}));
   // drain() with nothing queued is a no-op, and work still fires after it.
   step.drain();
-  int runs = 0;
+  std::atomic<int> runs{0};  // both workers bump it in the same round
   step.set_work([&runs](int) { ++runs; });
   step.run();
-  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(runs.load(), 2);
 }
 
 TEST(ResolveJobs, ExplicitRequestWins) {
@@ -134,19 +134,29 @@ TEST(ParallelSweep, EmptyAndSingle) {
 }
 
 TEST(ParallelSweep, EveryPointRunsExactlyOnce) {
-  // More points than workers: each worker keeps claiming indices until the
-  // sweep is exhausted, and no index is claimed twice.
+  // More points than workers: each worker keeps claiming tickets until the
+  // sweep is exhausted, no point is claimed twice, and the results stay
+  // point-indexed whatever the dispatch order.
   constexpr int kPoints = 257;
-  std::vector<std::atomic<int>> runs(kPoints);
-  exec::ParallelSweep sweep(3);
-  const auto out = sweep.map(kPoints, [&runs](int i) {
-    ++runs[static_cast<std::size_t>(i)];
-    return i;
-  });
-  ASSERT_EQ(out.size(), static_cast<std::size_t>(kPoints));
-  for (int i = 0; i < kPoints; ++i) {
-    EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1) << "point " << i;
-    EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
+  for (int jobs : {1, 3, 4}) {
+    for (bool with_cost : {false, true}) {
+      std::vector<std::atomic<int>> runs(kPoints);
+      exec::ParallelSweep sweep(jobs);
+      auto fn = [&runs](int i) {
+        ++runs[static_cast<std::size_t>(i)];
+        return i;
+      };
+      // Costs that scramble the order: (i * 37) % 11 has many ties.
+      const auto out = with_cost
+                           ? sweep.map(kPoints, fn, [](int i) { return (i * 37) % 11; })
+                           : sweep.map(kPoints, fn);
+      ASSERT_EQ(out.size(), static_cast<std::size_t>(kPoints));
+      for (int i = 0; i < kPoints; ++i) {
+        EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1)
+            << "jobs " << jobs << " cost " << with_cost << " point " << i;
+        EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
+      }
+    }
   }
 }
 
@@ -161,6 +171,35 @@ TEST(ParallelSweep, PropagatesExceptions) {
                          }),
                std::runtime_error);
   EXPECT_EQ(ran.load(), 8);  // a failed point does not cancel the others
+}
+
+TEST(ParallelSweep, HeaviestFirstOrderIsDescendingCostTiesByIndex) {
+  EXPECT_EQ(exec::heaviest_first({1.0, 5.0, 3.0, 5.0, 0.0, 3.0}),
+            (std::vector<int>{1, 3, 2, 5, 0, 4}));
+  EXPECT_EQ(exec::heaviest_first({2.0, 2.0, 2.0}), exec::identity_order(3));
+  EXPECT_TRUE(exec::heaviest_first({}).empty());
+}
+
+TEST(ParallelSweep, OneWorkerStartsPointsInDispatchOrder) {
+  // With one worker the start sequence is the ticket sequence itself.
+  exec::ParallelSweep sweep(1);
+  std::vector<int> started;
+  const auto plain = sweep.map(5, [&started](int i) {
+    started.push_back(i);
+    return i;
+  });
+  EXPECT_EQ(started, (std::vector<int>{0, 1, 2, 3, 4}));
+  started.clear();
+  const std::vector<double> cost{0.5, 4.0, 2.0, 4.0, 1.0};
+  const auto weighted = sweep.map(
+      5,
+      [&started](int i) {
+        started.push_back(i);
+        return i;
+      },
+      [&cost](int i) { return cost[static_cast<std::size_t>(i)]; });
+  EXPECT_EQ(started, (std::vector<int>{1, 3, 2, 4, 0}));
+  EXPECT_EQ(plain, weighted);  // results stay point-indexed under any order
 }
 
 // ---- determinism: parallel sweeps == serial sweeps ---------------------------
@@ -262,7 +301,9 @@ TEST(LoadSweep, RequestedRateMatchesConfiguredRate) {
   // issue, and the grid is non-decreasing.
   for (std::size_t i = 0; i < pts.size(); ++i) {
     EXPECT_LE(pts[i].requested_gbps, cap * static_cast<double>(sites.size()) + 1e-9);
-    if (i > 0) EXPECT_GE(pts[i].requested_gbps, pts[i - 1].requested_gbps);
+    if (i > 0) {
+      EXPECT_GE(pts[i].requested_gbps, pts[i - 1].requested_gbps);
+    }
   }
 }
 

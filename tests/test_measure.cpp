@@ -6,6 +6,7 @@
 #include "measure/experiment.hpp"
 #include "measure/harvest.hpp"
 #include "measure/latency.hpp"
+#include "measure/loadsweep.hpp"
 #include "measure/scenario.hpp"
 #include "topo/params.hpp"
 
@@ -63,6 +64,32 @@ TEST(Scenario, CapacitiesMatchBindingSegments) {
   const auto p7 = topo::epyc7302();
   EXPECT_DOUBLE_EQ(scenario_capacity(p7, SweepLink::kIfIntraCc, fabric::Op::kRead),
                    p7.ccx_down_bw);
+}
+
+TEST(LoadSweep, RequestedLoadIsTheOfferedLoadHelper) {
+  // The reported offered load and the sweep's dispatch cost come from one
+  // helper, so they cannot drift apart.
+  struct Panel {
+    topo::PlatformParams params;
+    SweepLink link;
+    fabric::Op op;
+  };
+  const std::vector<Panel> panels{{topo::epyc7302(), SweepLink::kGmi, fabric::Op::kRead},
+                                  {topo::epyc9634(), SweepLink::kGmi, fabric::Op::kWrite},
+                                  {topo::epyc9634(), SweepLink::kPlink, fabric::Op::kRead}};
+  constexpr int kPoints = 3;
+  for (const auto& p : panels) {
+    const int sites = sweep_sites(p.params, p.link);
+    ASSERT_GT(sites, 0);
+    const auto pts = latency_vs_load(p.params, p.link, p.op, kPoints, /*jobs=*/2,
+                                     /*fastforward=*/true);
+    ASSERT_EQ(pts.size(), static_cast<std::size_t>(kPoints));
+    for (int i = 1; i <= kPoints; ++i) {
+      EXPECT_EQ(pts[static_cast<std::size_t>(i - 1)].requested_gbps,
+                offered_gbps(p.params, p.link, p.op, i, kPoints, sites))
+          << p.params.name << " " << to_string(p.link) << " point " << i;
+    }
+  }
 }
 
 TEST(Harness, CacheLatencySweepIsMonotone) {

@@ -25,14 +25,18 @@ namespace {
 std::size_t g_new_calls = 0;
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The replacements are kept out of line: once g++ 12 inlines one of them
+// into a new- or delete-expression, -Wmismatched-new-delete sees std::malloc
+// paired with operator delete (at -O2) or operator new with std::free (at
+// -O3), although they free exactly what they allocate.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_new_calls;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace scn::sim {
 namespace {

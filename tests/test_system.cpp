@@ -69,7 +69,9 @@ TEST(System, XgmiCapsCrossSocketBandwidth) {
     for (int x = 0; x < sys.socket(0).ccx_per_ccd(); ++x) {
       for (int c = 0; c < sys.socket(0).cores_per_ccx(); ++c) {
         traffic::StreamFlow::Config cfg;
-        cfg.name = "r" + std::to_string(id);
+        // Appended: "r" + to_string(id) trips a g++ 12 -Wrestrict false positive.
+        cfg.name = "r";
+        cfg.name += std::to_string(id);
         cfg.paths = sys.dram_paths_all(0, d, x, 1);
         cfg.pools = sys.socket(0).pools_for(d, x, fabric::Op::kRead);
         cfg.window = 48;  // extra MLP: the remote BDP is larger (Impl. #3)

@@ -51,11 +51,12 @@ def main(argv):
         b = base["metrics"].get(name)
         c = cur["metrics"].get(name)
         if b is None or c is None:
-            print(f"{name:<36} {'-' if b is None else f'{b:12.0f}'}"
-                  f" {'-' if c is None else f'{c:12.0f}'}   (new/removed)")
+            print(f"{name:<36} {'-' if b is None else f'{b:12.1f}'}"
+                  f" {'-' if c is None else f'{c:12.1f}'}   (new/removed)")
             continue
         delta = (c - b) / b * 100.0 if b else 0.0
-        print(f"{name:<36} {b:12.0f} {c:12.0f} {delta:+7.1f}%")
+        # One decimal, as stored: the ratio metrics sit near 1.
+        print(f"{name:<36} {b:12.1f} {c:12.1f} {delta:+7.1f}%")
         if args.max_regression >= 0.0 and delta < -args.max_regression:
             regressed.append(f"{name}: {delta:+.1f}% (limit -{args.max_regression:.0f}%)")
 
